@@ -20,17 +20,9 @@ from pyspark.sql import SparkSession
 from ..geometry import kdtree as kdt
 from ..geometry.delaunay import delaunay_edges
 from ..graph import kruskal
-from .gfk import GfkStats, gfk_mst
+from .gfk import BccpCache, GfkStats, gfk_mst, pair_bccps, spark_bccp
 from .memogfk import memogfk_mst
 from .wspd import wspd
-
-
-def _spark_ctx(spark: SparkSession | None, tree):
-    if spark is None:
-        return None
-    from ..engine.distribute import SparkBccp
-
-    return SparkBccp(spark, tree)
 
 
 def emst_naive(
@@ -42,21 +34,10 @@ def emst_naive(
     tree = kdt.build(points, leaf_size=1)
     pairs = wspd(tree, "s2", max_pairs=max_pairs)
     stats = GfkStats(rounds=1, pairs_materialized=int(pairs.shape[0]))
-    stats.bccp_computed = int(pairs.shape[0])
-    sz = tree.hi - tree.lo
-    stats.bccp_work_cells = int((sz[pairs[:, 0]] * sz[pairs[:, 1]]).sum())
-    ctx = _spark_ctx(spark, tree)
-    if ctx is not None:
-        results = ctx.bccp_many([(int(a), int(b)) for a, b in pairs], star=False)
-        edges = np.asarray([e for _, e in results], dtype=np.float64)
-        ctx.unpersist()
-    else:
-        from . import bccp as bccp_mod
-
-        edges = np.asarray(
-            [bccp_mod.bccp(tree, int(a), int(b)) for a, b in pairs],
-            dtype=np.float64,
-        ).reshape(-1, 3)
+    with spark_bccp(spark, tree) as ctx:
+        edges = pair_bccps(
+            tree, pairs[:, 0], pairs[:, 1], BccpCache(), False, stats, ctx
+        )
     mst = kruskal.mst(
         tree.n,
         edges[:, 0].astype(np.int64),
@@ -74,11 +55,8 @@ def emst_gfk(
     """EMST-GFK: Algorithm 2 on the materialized WSPD."""
     tree = kdt.build(points, leaf_size=1)
     pairs = wspd(tree, "s2", max_pairs=max_pairs)
-    ctx = _spark_ctx(spark, tree)
-    edges, stats = gfk_mst(tree, pairs, star=False, spark_ctx=ctx)
-    if ctx is not None:
-        ctx.unpersist()
-    return edges, stats
+    with spark_bccp(spark, tree) as ctx:
+        return gfk_mst(tree, pairs, star=False, spark_ctx=ctx)
 
 
 def emst_memogfk(
@@ -86,11 +64,8 @@ def emst_memogfk(
 ) -> tuple[np.ndarray, GfkStats]:
     """EMST-MemoGFK: Algorithm 3 (the paper's fastest method)."""
     tree = kdt.build(points, leaf_size=1)
-    ctx = _spark_ctx(spark, tree)
-    edges, stats = memogfk_mst(tree, star=False, separation="s2", spark_ctx=ctx)
-    if ctx is not None:
-        ctx.unpersist()
-    return edges, stats
+    with spark_bccp(spark, tree) as ctx:
+        return memogfk_mst(tree, star=False, separation="s2", spark_ctx=ctx)
 
 
 def emst_delaunay(

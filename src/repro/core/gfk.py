@@ -13,11 +13,12 @@ Round structure (exactly the paper's):
 6. beta *= 2 (doubling => O(log n) rounds; the paper's depth argument).
 
 ``spark_ctx`` (a ``repro.engine.distribute.SparkBccp``) switches the
-BCCP batch of step 3 from a driver loop to a Spark ``mapInPandas``
-fan-out — the "48 cores" configuration of Tables 2/4/5.
+BCCP batch of step 3 from one batched driver call to a Spark
+``mapInPandas`` fan-out — the "48 cores" configuration of Tables 2/4/5.
 """
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from ..geometry.kdtree import KDTree
 from ..graph.kruskal import kruskal_batch
 from ..graph.unionfind import UnionFind
-from . import bccp as bccp_mod
+from .bccp import bccp_pairs
 from .wspd import pair_node_dist, pair_point_count
 
 
@@ -64,35 +65,59 @@ def mono_labels(tree: KDTree, uf: UnionFind) -> np.ndarray:
     return np.where(n_changes == 0, lab[lo], -1)
 
 
-def _compute_bccps(
+@dataclass
+class BccpCache:
+    """BCCP edges computed so far, keyed by node pair (a, b) as
+    a * n_nodes + b: ``keys`` sorted, ``edges[k]`` the [u, v, w] row of
+    ``keys[k]``."""
+
+    keys: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    edges: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
+
+
+def pair_bccps(
     tree: KDTree,
-    pairs: np.ndarray,
-    cache: dict[tuple[int, int], tuple[int, int, float]],
+    A: np.ndarray,
+    B: np.ndarray,
+    cache: BccpCache,
     star: bool,
     stats: GfkStats,
     spark_ctx=None,
 ) -> np.ndarray:
-    """Fill ``cache`` for every pair lacking an entry; return the (k, 3)
-    [u, v, w] edge array for ``pairs`` in order."""
-    missing = [
-        (int(a), int(b)) for a, b in pairs if (int(a), int(b)) not in cache
-    ]
-    if missing:
-        stats.bccp_computed += len(missing)
-        sz = (tree.hi - tree.lo).astype(np.int64)
-        for a, b in missing:
-            stats.bccp_work_cells += int(sz[a]) * int(sz[b])
+    """(k, 3) [u, v, w] BCCP (BCCP* if ``star``) edges of the node
+    pairs (A[k], B[k]), in order.
+
+    The pairs missing from ``cache`` are computed once, in one batch:
+    ``bccp_pairs`` on the driver, or one Spark fan-out through
+    ``spark_ctx``; they are then added to the cache.
+    """
+    m = tree.n_nodes
+    keys = A.astype(np.int64) * m + B
+    new = np.setdiff1d(keys, cache.keys)
+    if new.size:
+        a, b = np.divmod(new, m)
+        sz = tree.hi - tree.lo
+        stats.bccp_computed += int(new.size)
+        stats.bccp_work_cells += int((sz[a] * sz[b]).sum())
         if spark_ctx is not None:
-            for (a, b), edge in spark_ctx.bccp_many(missing, star=star):
-                cache[(a, b)] = edge
+            edges = spark_ctx.bccp_many(np.column_stack([a, b]), star=star)
         else:
-            fn = bccp_mod.bccp_star if star else bccp_mod.bccp
-            for a, b in missing:
-                cache[(a, b)] = fn(tree, a, b)
-    out = np.empty((pairs.shape[0], 3))
-    for i, (a, b) in enumerate(pairs):
-        out[i] = cache[(int(a), int(b))]
-    return out
+            edges = np.column_stack(bccp_pairs(tree, a, b, tree.cd if star else None))
+        keys_all = np.concatenate([cache.keys, new])
+        order = np.argsort(keys_all, kind="stable")
+        cache.keys = keys_all[order]
+        cache.edges = np.concatenate([cache.edges, edges])[order]
+    return cache.edges[np.searchsorted(cache.keys, keys)]
+
+
+def spark_bccp(spark, tree: KDTree):
+    """Context manager yielding a ``SparkBccp`` over ``tree`` (its
+    broadcast is released on exit), or None when ``spark`` is None."""
+    if spark is None:
+        return nullcontext()
+    from ..engine.distribute import SparkBccp
+
+    return SparkBccp(spark, tree)
 
 
 def gfk_mst(
@@ -110,7 +135,7 @@ def gfk_mst(
     n = tree.n
     uf = UnionFind(n)
     out_edges: list[tuple[int, int, float]] = []
-    cache: dict[tuple[int, int], tuple[int, int, float]] = {}
+    cache = BccpCache()
     stats = GfkStats(pairs_materialized=int(pairs.shape[0]))
 
     card = pair_point_count(tree, pairs)
@@ -130,7 +155,9 @@ def gfk_mst(
         s_l = active[in_l]
         s_u = active[~in_l]
         rho_hi = float(lbs[s_u].min()) if s_u.size else np.inf
-        edges_l = _compute_bccps(tree, pairs[s_l], cache, star, stats, spark_ctx)
+        edges_l = pair_bccps(
+            tree, pairs[s_l, 0], pairs[s_l, 1], cache, star, stats, spark_ctx
+        )
         take = edges_l[:, 2] <= rho_hi
         batch = edges_l[take]
         if batch.size:

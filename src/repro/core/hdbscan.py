@@ -25,7 +25,7 @@ from pyspark.sql import SparkSession
 
 from ..geometry import kdtree as kdt
 from ..geometry.knn import core_distances as core_distances_seq
-from .gfk import GfkStats
+from .gfk import GfkStats, spark_bccp
 from .memogfk import memogfk_mst
 from .wspd import wspd
 
@@ -64,14 +64,10 @@ def hdbscan_mst(
     cd = core_distances(pts, min_pts, spark)
     tree = build_hdbscan_tree(pts, cd)
     separation = "hdbscan" if method == "memogfk" else "s2"
-    ctx = None
-    if spark is not None:
-        from ..engine.distribute import SparkBccp
-
-        ctx = SparkBccp(spark, tree)
-    edges, stats = memogfk_mst(tree, star=True, separation=separation, spark_ctx=ctx)
-    if ctx is not None:
-        ctx.unpersist()
+    with spark_bccp(spark, tree) as ctx:
+        edges, stats = memogfk_mst(
+            tree, star=True, separation=separation, spark_ctx=ctx
+        )
     return edges, cd, stats
 
 

@@ -31,8 +31,7 @@ import numpy as np
 from ..geometry.kdtree import KDTree
 from ..graph.kruskal import kruskal_batch
 from ..graph.unionfind import UnionFind
-from . import bccp as bccp_mod
-from .gfk import GfkStats, mono_labels
+from .gfk import BccpCache, GfkStats, mono_labels, pair_bccps
 from .wspd import (
     root_seeds,
     split_frontier,
@@ -103,7 +102,7 @@ def get_pairs(
     mono: np.ndarray,
     kind: str | float,
     star: bool,
-    cache: dict[tuple[int, int], tuple[int, int, float]],
+    cache: BccpCache,
     stats: GfkStats,
     spark_ctx=None,
 ) -> np.ndarray:
@@ -113,8 +112,8 @@ def get_pairs(
     Prunes (Figure 3b): d_max(A,B) < rho_lo (descendants' BCCPs below
     range), lb >= rho_hi (descendants' BCCPs above range), or A, B
     already in one component. Well-separated survivors get their BCCP
-    computed (driver loop, or one Spark fan-out) and cached; only
-    in-range ones are materialized as edges.
+    computed (one batched driver call, or one Spark fan-out) and cached;
+    only in-range ones are materialized as edges.
     """
     candidates: list[np.ndarray] = []
     A, B = _seeds(tree, mono)
@@ -139,28 +138,15 @@ def get_pairs(
     cand = np.concatenate(candidates, axis=0)
     stats.pairs_materialized = max(stats.pairs_materialized, cand.shape[0])
 
-    missing = [
-        (int(a), int(b)) for a, b in cand if (int(a), int(b)) not in cache
-    ]
-    if missing:
-        stats.bccp_computed += len(missing)
-        sz = tree.hi - tree.lo
-        for a, b in missing:
-            stats.bccp_work_cells += int(sz[a]) * int(sz[b])
-        if spark_ctx is not None:
-            for (a, b), edge in spark_ctx.bccp_many(missing, star=star):
-                cache[(a, b)] = edge
-        else:
-            fn = bccp_mod.bccp_star if star else bccp_mod.bccp
-            for a, b in missing:
-                cache[(a, b)] = fn(tree, a, b)
-
-    rows = [
-        cache[(int(a), int(b))]
-        for a, b in cand
-        if rho_lo <= cache[(int(a), int(b))][2] < rho_hi
-    ]
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    edges = pair_bccps(tree, cand[:, 0], cand[:, 1], cache, star, stats, spark_ctx)
+    # Select on w clipped to the pair's own [lb, ub], the values the
+    # traversal prunes with. lb <= BCCP <= ub exactly, but a computed w
+    # can fall an ulp outside (for two single-point nodes lb = ub = their
+    # distance, computed another way); such a pair would be pruned while
+    # lb >= rho_hi and then fail w >= rho_lo in the next round.
+    lb, ub = _v_bounds(tree, cand[:, 0], cand[:, 1], star)
+    key = np.clip(edges[:, 2], lb, ub)
+    return edges[(key >= rho_lo) & (key < rho_hi)]
 
 
 def memogfk_mst(
@@ -179,7 +165,7 @@ def memogfk_mst(
     n = tree.n
     uf = UnionFind(n)
     out_edges: list[tuple[int, int, float]] = []
-    cache: dict[tuple[int, int], tuple[int, int, float]] = {}
+    cache = BccpCache()
     stats = GfkStats()
     beta = 2
     rho_lo = 0.0

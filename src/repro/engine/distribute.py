@@ -4,13 +4,13 @@ The paper runs on a 48-core Cilk machine; every parallel-for over
 independent heavy kernels (BCCP batches, k-NN queries, light-edge
 dendrogram subproblems) maps here onto one Spark DataFrame job:
 
-* driver broadcasts the reordered point array / core distances / kd-tree
-  arrays once per run;
+* driver broadcasts the kd-tree (reordered points, core distances, node
+  arrays) once per run;
 * the work list (node-id pairs, query-id chunks, pickled subproblems)
   becomes a DataFrame, explicitly spread over ``defaultParallelism``
   partitions by a balanced partition key;
 * ``mapInPandas`` runs the identical NumPy kernels used by the
-  sequential path inside executors;
+  sequential path inside executors, once per Arrow batch;
 * results return to the driver (Kruskal's union-find, like the paper's,
   is a serial fraction that Figure 8 shows is negligible).
 
@@ -26,7 +26,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from ..core.bccp import bccp_kernel, bccp_star_kernel
+from ..core.bccp import bccp_pairs
 from ..geometry.kdtree import KDTree
 
 # Below this many distance-matrix cells a fan-out costs more than it
@@ -37,54 +37,47 @@ _MIN_PARALLEL_CELLS = 100_000
 class SparkBccp:
     """Distributes BCCP / BCCP* batches for GFK and MemoGFK rounds.
 
-    Construct once per MST run (one broadcast of the tree state), then
+    Construct once per MST run (one broadcast of the tree), then
     ``bccp_many`` is called every round with that round's missing pairs.
+    As a context manager it releases the broadcast on exit.
     """
 
     def __init__(self, spark: SparkSession, tree: KDTree, n_parts: int | None = None):
         self.spark = spark
         self.tree = tree
         self.n_parts = n_parts or spark.sparkContext.defaultParallelism
-        self._bc = spark.sparkContext.broadcast(
-            {
-                "pts": tree.pts,
-                "perm": tree.perm,
-                "lo": tree.lo,
-                "hi": tree.hi,
-                "cd": tree.cd,
-            }
-        )
+        self._bc = spark.sparkContext.broadcast(tree)
+
+    def __enter__(self) -> SparkBccp:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.unpersist()
 
     def unpersist(self) -> None:
         self._bc.unpersist()
 
-    def _local(self, pairs: list[tuple[int, int]], star: bool):
-        from ..core import bccp as bccp_mod
+    def bccp_many(self, pairs: np.ndarray, star: bool = False) -> np.ndarray:
+        """BCCP (or BCCP*) of each (node_a, node_b) row of ``pairs``.
 
-        fn = bccp_mod.bccp_star if star else bccp_mod.bccp
-        return [((a, b), fn(self.tree, a, b)) for a, b in pairs]
-
-    def bccp_many(
-        self, pairs: list[tuple[int, int]], star: bool = False
-    ) -> list[tuple[tuple[int, int], tuple[int, int, float]]]:
-        """Compute BCCP (or BCCP*) for each (node_a, node_b) pair.
-
-        Returns [((a, b), (u, v, w)), ...] with u, v in original ids.
+        Returns the (k, 3) [u, v, w] edges in pair order, u and v in
+        original ids: the same values ``bccp_pairs`` gives on the driver.
         """
-        if not pairs:
-            return []
         t = self.tree
         sz = t.hi - t.lo
-        cells = np.array([int(sz[a]) * int(sz[b]) for a, b in pairs], dtype=np.int64)
+        cells = sz[pairs[:, 0]] * sz[pairs[:, 1]]
         if int(cells.sum()) < _MIN_PARALLEL_CELLS:
-            return self._local(pairs, star)
+            return np.column_stack(
+                bccp_pairs(t, pairs[:, 0], pairs[:, 1], t.cd if star else None)
+            )
 
         # Balance: largest pairs first, round-robin over partitions.
         order = np.argsort(-cells, kind="stable")
         pdf = pd.DataFrame(
             {
-                "a": [pairs[i][0] for i in order],
-                "b": [pairs[i][1] for i in order],
+                "k": order,
+                "a": pairs[order, 0],
+                "b": pairs[order, 1],
                 "part": np.arange(order.size, dtype=np.int64) % self.n_parts,
             }
         )
@@ -92,37 +85,23 @@ class SparkBccp:
         use_star = bool(star)
 
         def compute(batches):
-            data = bc.value
-            pts, perm, los, his = data["pts"], data["perm"], data["lo"], data["hi"]
-            cd = data["cd"]
+            tree = bc.value
+            cd = tree.cd if use_star else None
             for b_pdf in batches:
-                out = {"a": [], "b": [], "u": [], "v": [], "w": []}
-                for a, b in zip(b_pdf["a"].to_numpy(), b_pdf["b"].to_numpy()):
-                    alo, ahi = int(los[a]), int(his[a])
-                    blo, bhi = int(los[b]), int(his[b])
-                    if use_star:
-                        i, j, w = bccp_star_kernel(
-                            pts[alo:ahi], pts[blo:bhi], cd[alo:ahi], cd[blo:bhi]
-                        )
-                    else:
-                        i, j, w = bccp_kernel(pts[alo:ahi], pts[blo:bhi])
-                    out["a"].append(int(a))
-                    out["b"].append(int(b))
-                    out["u"].append(int(perm[alo + i]))
-                    out["v"].append(int(perm[blo + j]))
-                    out["w"].append(float(w))
-                yield pd.DataFrame(out)
+                u, v, w = bccp_pairs(
+                    tree, b_pdf["a"].to_numpy(), b_pdf["b"].to_numpy(), cd
+                )
+                yield pd.DataFrame({"k": b_pdf["k"].to_numpy(), "u": u, "v": v, "w": w})
 
-        df = self.spark.createDataFrame(pdf)
         res = (
-            df.repartition(self.n_parts, "part")
-            .mapInPandas(compute, schema="a long, b long, u long, v long, w double")
+            self.spark.createDataFrame(pdf)
+            .repartition(self.n_parts, "part")
+            .mapInPandas(compute, schema="k long, u long, v long, w double")
             .toPandas()
         )
-        return [
-            ((int(r.a), int(r.b)), (int(r.u), int(r.v), float(r.w)))
-            for r in res.itertuples()
-        ]
+        out = np.empty((pairs.shape[0], 3))
+        out[res["k"].to_numpy()] = res[["u", "v", "w"]].to_numpy(dtype=np.float64)
+        return out
 
 
 def core_distances_spark(
@@ -149,12 +128,12 @@ def core_distances_spark(
     par = n_chunks or 4 * spark.sparkContext.defaultParallelism
     if n < 4096:
         return kth_distances(tree, pts, min_pts)
-    bc = spark.sparkContext.broadcast({"tree": tree, "queries": pts})
     bounds = np.linspace(0, n, par + 1, dtype=np.int64)
     pdf = pd.DataFrame(
         {"lo": bounds[:-1], "hi": bounds[1:], "part": np.arange(par) % par}
     )
     k = int(min_pts)
+    bc = spark.sparkContext.broadcast({"tree": tree, "queries": pts})
 
     def compute(batches):
         data = bc.value
@@ -166,13 +145,15 @@ def core_distances_spark(
                     {"id": np.arange(lo, hi, dtype=np.int64), "cd": cds}
                 )
 
-    res = (
-        spark.createDataFrame(pdf)
-        .repartition(min(par, 64), "part")
-        .mapInPandas(compute, schema="id long, cd double")
-        .toPandas()
-    )
-    bc.unpersist()
+    try:
+        res = (
+            spark.createDataFrame(pdf)
+            .repartition(min(par, 64), "part")
+            .mapInPandas(compute, schema="id long, cd double")
+            .toPandas()
+        )
+    finally:
+        bc.unpersist()
     out = np.empty(n)
     out[res["id"].to_numpy()] = res["cd"].to_numpy()
     return out

@@ -191,16 +191,9 @@ def build(points: np.ndarray, leaf_size: int = 1) -> KDTree:
     right_a = np.asarray(right, dtype=np.int32)
     lo_a = np.asarray(los, dtype=np.int64)
     hi_a = np.asarray(his, dtype=np.int64)
-    m = left_a.shape[0]
-    d = pts.shape[1]
-    bb_min = np.empty((m, d))
-    bb_max = np.empty((m, d))
-    # Every node owns a contiguous range, so bboxes come straight from
-    # the reordered array (vectorized per node; m <= 2n).
-    for i in range(m):
-        seg = pts[lo_a[i] : hi_a[i]]
-        bb_min[i] = seg.min(axis=0)
-        bb_max[i] = seg.max(axis=0)
+    levels = _internal_levels(left_a, right_a)
+    bb_min = _reduce_up(np.minimum, pts, left_a, right_a, lo_a, levels)
+    bb_max = _reduce_up(np.maximum, pts, left_a, right_a, lo_a, levels)
     center = 0.5 * (bb_min + bb_max)
     radius = 0.5 * np.linalg.norm(bb_max - bb_min, axis=1)
     return KDTree(
@@ -217,6 +210,31 @@ def build(points: np.ndarray, leaf_size: int = 1) -> KDTree:
     )
 
 
+def _internal_levels(left: np.ndarray, right: np.ndarray) -> list[np.ndarray]:
+    """Internal node ids grouped by depth, root level first."""
+    levels = []
+    nodes = np.zeros(1, dtype=np.int64)
+    while nodes.size:
+        nodes = nodes[left[nodes] >= 0]
+        levels.append(nodes)
+        nodes = np.concatenate([left[nodes], right[nodes]]).astype(np.int64)
+    return levels
+
+
+def _reduce_up(ufunc, vals, left, right, lo, levels) -> np.ndarray:
+    """``ufunc`` (np.minimum / np.maximum) of ``vals`` over every node's
+    point range: leaves reduce their contiguous ranges with one
+    ``reduceat``, internal nodes combine their children bottom-up, one
+    depth level at a time."""
+    out = np.empty((left.shape[0],) + vals.shape[1:])
+    leaves = np.flatnonzero(left < 0)
+    leaves = leaves[np.argsort(lo[leaves])]
+    out[leaves] = ufunc.reduceat(vals, lo[leaves], axis=0)
+    for nodes in reversed(levels):
+        out[nodes] = ufunc(out[left[nodes]], out[right[nodes]])
+    return out
+
+
 def attach_core_distances(tree: KDTree, core_dist: np.ndarray) -> None:
     """Store per-point core distances (indexed by *original* id) and
     fill per-node cd_min / cd_max bottom-up.
@@ -225,20 +243,9 @@ def attach_core_distances(tree: KDTree, core_dist: np.ndarray) -> None:
     well-separation (Section 3.2.2).
     """
     cd = np.asarray(core_dist, dtype=np.float64)[tree.perm]
-    m = tree.n_nodes
-    cd_min = np.empty(m)
-    cd_max = np.empty(m)
-    # Children always have larger ids than their parent (allocation
-    # order), so a reverse scan is a valid bottom-up pass.
-    for i in range(m - 1, -1, -1):
-        if tree.left[i] < 0:
-            seg = cd[tree.lo[i] : tree.hi[i]]
-            cd_min[i] = seg.min()
-            cd_max[i] = seg.max()
-        else:
-            l, r = tree.left[i], tree.right[i]
-            cd_min[i] = min(cd_min[l], cd_min[r])
-            cd_max[i] = max(cd_max[l], cd_max[r])
+    levels = _internal_levels(tree.left, tree.right)
+    cd_min = _reduce_up(np.minimum, cd, tree.left, tree.right, tree.lo, levels)
+    cd_max = _reduce_up(np.maximum, cd, tree.left, tree.right, tree.lo, levels)
     tree.cd = cd
     tree.cd_min = cd_min
     tree.cd_max = cd_max

@@ -6,61 +6,130 @@ The kernel here is written so that a chunk of query ids can be shipped
 to a Spark executor together with a broadcast tree
 (``repro.engine.distribute.core_distances_spark``), mirroring the
 paper's parallel k-NN [13].
+
+Queries are answered a leaf block at a time: every query is bucketed
+into a kd-tree leaf, and each bucket is compared against all points of
+the leaves that can hold a k-th neighbor of any of its queries, as one
+dense block.
 """
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
 from .kdtree import KDTree
 
-
-def _bbox_sqdist(tree: KDTree, node: int, q: np.ndarray) -> float:
-    """Squared distance from point q to the node's bounding box (0 if
-    inside) — the standard kd-tree pruning bound."""
-    d = np.maximum(tree.bb_min[node] - q, 0.0) + np.maximum(q - tree.bb_max[node], 0.0)
-    return float(d @ d)
+# Cap on the query x candidate cells of one block; buckets with more
+# cells are processed in row blocks so memory stays bounded.
+_BLOCK_CELLS = 1 << 18
 
 
-def knn_one(tree: KDTree, q: np.ndarray, k: int) -> np.ndarray:
-    """Distances (sorted ascending) to the k nearest points of ``q``
-    among the tree's points, including an exact match if present.
+def _box_gap(lo1, hi1, lo2, hi2) -> np.ndarray:
+    """Per-row min distance between boxes [lo1, hi1] and [lo2, hi2]."""
+    g = np.maximum(lo2 - hi1, 0.0) + np.maximum(lo1 - hi2, 0.0)
+    return np.sqrt(np.einsum("ij,ij->i", g, g))
 
-    Best-first branch-and-bound: nodes are visited in order of their
-    bbox distance to q; leaves are scanned vectorized; a max-heap keeps
-    the best k distances seen.
+
+def _leaf_of(tree: KDTree, queries: np.ndarray) -> np.ndarray:
+    """Vectorized descent: each query's leaf, taking at every internal
+    node the child whose bounding box is nearer (the left one on ties)."""
+    node = np.zeros(queries.shape[0], dtype=np.int64)
+    inner = np.flatnonzero(tree.left[node] >= 0)
+    while inner.size:
+        q = queries[inner]
+        l, r = tree.left[node[inner]], tree.right[node[inner]]
+        go_left = _box_gap(q, q, tree.bb_min[l], tree.bb_max[l]) <= _box_gap(
+            q, q, tree.bb_min[r], tree.bb_max[r]
+        )
+        node[inner] = np.where(go_left, l, r)
+        inner = inner[tree.left[node[inner]] >= 0]
+    return node
+
+
+def _candidate_leaves(
+    tree: KDTree,
+    qmin: np.ndarray,
+    qmax: np.ndarray,
+    radius: np.ndarray,
+    anc: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(bucket, leaf) pairs, sorted by bucket: for each bucket g, the
+    leaves under ``anc[g]`` and every leaf whose box lies closer than
+    ``radius[g]`` to g's query box. Level-synchronous pruned frontier
+    over the tree, as in the WSPD traversals."""
+    G = np.arange(qmin.shape[0])
+    V = np.zeros(G.size, dtype=np.int64)
+    out_g, out_v = [], []
+    while G.size:
+        gap = _box_gap(qmin[G], qmax[G], tree.bb_min[V], tree.bb_max[V])
+        # Ranges are nested or disjoint: overlap = on anc's root path.
+        on_anc = (tree.lo[V] < tree.hi[anc[G]]) & (tree.lo[anc[G]] < tree.hi[V])
+        keep = (gap < radius[G]) | on_anc
+        G, V = G[keep], V[keep]
+        leaf = tree.left[V] < 0
+        out_g.append(G[leaf])
+        out_v.append(V[leaf])
+        G, V = np.repeat(G[~leaf], 2), V[~leaf]
+        V = np.column_stack([tree.left[V], tree.right[V]]).ravel().astype(np.int64)
+    g, v = np.concatenate(out_g), np.concatenate(out_v)
+    order = np.argsort(g, kind="stable")
+    return g[order], v[order]
+
+
+def knn(tree: KDTree, queries: np.ndarray, k: int) -> np.ndarray:
+    """(m, k) distances, each row sorted ascending, from every row of
+    ``queries`` to its k nearest tree points (an exact match included).
+
+    Distances come from coordinate differences, as in brute force.
     """
-    heap: list[float] = []  # max-heap via negation, size <= k
-    pq: list[tuple[float, int]] = [(0.0, 0)]
-    while pq:
-        bound, node = heapq.heappop(pq)
-        if len(heap) == k and bound >= -heap[0]:
-            break
-        if tree.left[node] < 0:
-            seg = tree.pts[tree.lo[node] : tree.hi[node]]
-            diff = seg - q
-            for sq in np.einsum("ij,ij->i", diff, diff):
-                if len(heap) < k:
-                    heapq.heappush(heap, -sq)
-                elif sq < -heap[0]:
-                    heapq.heapreplace(heap, -sq)
-        else:
-            for child in (int(tree.left[node]), int(tree.right[node])):
-                b = _bbox_sqdist(tree, child, q)
-                if len(heap) < k or b < -heap[0]:
-                    heapq.heappush(pq, (b, child))
-    # heap holds negated squared distances; sort ascending by distance.
-    return np.sqrt(np.sort(-np.asarray(heap)))
+    if not 1 <= k <= tree.n:
+        raise ValueError("k must be between 1 and the number of tree points")
+    queries = np.asarray(queries, dtype=np.float64).reshape(-1, tree.dim)
+    out = np.empty((queries.shape[0], k))
+    if not queries.shape[0]:
+        return out
+    # Bucket the queries by leaf.
+    leaf = _leaf_of(tree, queries)
+    order = np.argsort(leaf, kind="stable")
+    first = np.flatnonzero(np.r_[True, np.diff(leaf[order]) != 0])
+    buckets = np.split(order, first[1:])
+    qmin = np.minimum.reduceat(queries[order], first, axis=0)
+    qmax = np.maximum.reduceat(queries[order], first, axis=0)
+    # The lowest ancestor of each bucket's leaf with >= k points holds k
+    # points within its farthest box corner from the query box, so that
+    # distance R bounds the k-th neighbor distance of every query in the
+    # bucket. The candidates are anc's points plus every point closer
+    # than R: enough for the k smallest distances, ties at R included.
+    parent = np.zeros(tree.n_nodes, dtype=np.int64)
+    internal = np.flatnonzero(tree.left >= 0)
+    parent[tree.left[internal]] = internal
+    parent[tree.right[internal]] = internal
+    anc = leaf[order[first]]
+    while np.any(small := tree.hi[anc] - tree.lo[anc] < k):
+        anc[small] = parent[anc[small]]
+    far = np.maximum(qmax - tree.bb_min[anc], tree.bb_max[anc] - qmin)
+    radius = np.sqrt(np.einsum("ij,ij->i", far, far))
+    radius *= 1.0 + 1e-9  # rounding slack: never prune a k-th neighbor
+    g, v = _candidate_leaves(tree, qmin, qmax, radius, anc)
+    # Ragged concatenation of each bucket's candidate point ranges.
+    size = tree.hi[v] - tree.lo[v]
+    cand = np.repeat(tree.lo[v] - (np.cumsum(size) - size), size) + np.arange(size.sum())
+    cuts = np.cumsum(np.bincount(g, weights=size, minlength=len(buckets))).astype(np.int64)
+    for qs, ps in zip(buckets, np.split(cand, cuts[:-1])):
+        P = tree.pts[ps]
+        rows = max(1, _BLOCK_CELLS // ps.size)
+        for lo in range(0, qs.size, rows):
+            q = qs[lo : lo + rows]
+            d2 = np.zeros((q.size, ps.size))
+            for j in range(tree.dim):
+                d2 += (queries[q, j, None] - P[None, :, j]) ** 2
+            out[q] = np.sqrt(np.sort(np.partition(d2, k - 1, axis=1)[:, :k], axis=1))
+    return out
 
 
 def kth_distances(tree: KDTree, queries: np.ndarray, k: int) -> np.ndarray:
     """Core-distance kernel: for each row of ``queries`` return the
     distance to its k-th nearest tree point (including itself)."""
-    out = np.empty(queries.shape[0])
-    for i, q in enumerate(queries):
-        out[i] = knn_one(tree, q, k)[-1]
-    return out
+    return knn(tree, queries, k)[:, -1]
 
 
 def core_distances(points: np.ndarray, min_pts: int, leaf_size: int = 16) -> np.ndarray:

@@ -1,13 +1,15 @@
-"""BCCP / BCCP* kernels against brute force, and the bounding-sphere
-bounds MemoGFK prunes with (Figure 3a: lb <= BCCP <= ub)."""
+"""BCCP / BCCP* kernels against brute force, the batched ``bccp_pairs``
+against a per-pair dense reference, and the bounding-sphere bounds
+MemoGFK prunes with (Figure 3a: lb <= BCCP <= ub)."""
 import numpy as np
 import pytest
 
+from repro.core import bccp as bccp_mod
 from repro.core.bccp import (
     bccp,
     bccp_kernel,
+    bccp_pairs,
     bccp_star,
-    bccp_star_kernel,
     star_lower_bound,
     star_upper_bound,
 )
@@ -42,7 +44,7 @@ def test_bccp_star_kernel_vs_bruteforce(a, b):
     Q = rng.random((b, 3)) + 0.2
     cdP = rng.random(a)
     cdQ = rng.random(b)
-    i, j, w = bccp_star_kernel(P, Q, cdP, cdQ)
+    i, j, w = bccp_kernel(P, Q, cdP, cdQ)
     dmat = np.linalg.norm(P[:, None] - Q[None], axis=2)
     dm = np.maximum(dmat, np.maximum(cdP[:, None], cdQ[None]))
     assert np.isclose(w, dm.min())
@@ -94,3 +96,119 @@ def test_star_bounds_bracket_bccp_star():
         _, _, w = bccp_star(t, a, b)
         assert star_lower_bound(t, a, b) <= w + 1e-9
         assert star_upper_bound(t, a, b) >= w - 1e-9
+
+
+def _dense(t, a, b, cd):
+    """Per-pair reference: the full distance block of nodes a x b,
+    from coordinate differences, under d_m when ``cd`` is given."""
+    P = t.pts[t.lo[a] : t.hi[a]]
+    Q = t.pts[t.lo[b] : t.hi[b]]
+    d2 = np.zeros((P.shape[0], Q.shape[0]))
+    for k in range(t.dim):
+        d2 += (P[:, None, k] - Q[None, :, k]) ** 2
+    d = np.sqrt(d2)
+    if cd is not None:
+        d = np.maximum(d, np.maximum(cd[t.lo[a] : t.hi[a], None], cd[None, t.lo[b] : t.hi[b]]))
+    return d
+
+
+def _ragged_batch(t, rng, count=300):
+    """Random node pairs, plus 1x1 leaf pairs and pairs above the
+    large-pair threshold, shuffled together."""
+    sz = t.hi - t.lo
+    A = rng.integers(0, t.n_nodes, count)
+    B = rng.integers(0, t.n_nodes, count)
+    leaves = np.flatnonzero(t.left < 0)
+    big = np.flatnonzero(sz * sz[t.left[0]] > bccp_mod._LARGE_PAIR_CELLS)
+    A = np.concatenate([A, rng.choice(leaves, 40), big])
+    B = np.concatenate([B, rng.choice(leaves, 40), np.full(big.size, t.left[0])])
+    perm = rng.permutation(A.size)
+    return A[perm], B[perm]
+
+
+def _check_against_dense(t, A, B, cd, exact_argmin):
+    u, v, w = bccp_pairs(t, A, B, cd)
+    sz = t.hi - t.lo
+    pos = np.empty(t.n, dtype=np.int64)
+    pos[t.perm] = np.arange(t.n)
+    for k, (a, b) in enumerate(zip(A, B)):
+        d = _dense(t, a, b, cd)
+        i, j = pos[u[k]] - t.lo[a], pos[v[k]] - t.lo[b]
+        assert 0 <= i < sz[a] and 0 <= j < sz[b]
+        if exact_argmin or sz[a] * sz[b] <= bccp_mod._LARGE_PAIR_CELLS:
+            # Ragged path: exact minimum, first in row-major order.
+            assert w[k] == d.min()
+            assert (i, j) == divmod(int(np.argmin(d)), d.shape[1])
+        else:
+            assert np.isclose(w[k], d.min())
+            assert np.isclose(d[i, j], w[k])
+    return u, v, w
+
+
+@pytest.mark.parametrize("star", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 5, 7])
+def test_bccp_pairs_vs_bruteforce(d, star):
+    rng = np.random.default_rng(d)
+    pts = rng.random((120, d)) * 10
+    pts = np.vstack([pts, pts[:30]])  # coincident points
+    t = kdt.build(pts, leaf_size=1)
+    kdt.attach_core_distances(t, rng.random(t.n) * 2)
+    A, B = _ragged_batch(t, rng)
+    assert ((t.hi - t.lo)[A] * (t.hi - t.lo)[B] > bccp_mod._LARGE_PAIR_CELLS).any()
+    _check_against_dense(t, A, B, t.cd if star else None, exact_argmin=False)
+
+
+def test_bccp_pairs_coincident_points_exact_zero():
+    rng = np.random.default_rng(4)
+    base = rng.random((50, 3)) * 1e3 + 1e6
+    t = kdt.build(np.vstack([base, base]), leaf_size=1)
+    cd = rng.random(t.n)
+    kdt.attach_core_distances(t, cd)
+    leaves = np.flatnonzero(t.left < 0)
+    of = np.empty(t.n, dtype=np.int64)  # leaf holding each original id
+    of[t.perm[t.lo[leaves]]] = leaves
+    A, B = of[:50], of[50:]
+    u, v, w = bccp_pairs(t, A, B)
+    assert np.all(w == 0.0)
+    u, v, w = bccp_pairs(t, A, B, t.cd)
+    assert np.array_equal(w, np.maximum(cd[:50], cd[50:]))
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_bccp_pairs_chunk_boundaries(monkeypatch, star):
+    """Ragged passes split between pairs; results must not depend on
+    where the splits fall."""
+    rng = np.random.default_rng(8)
+    t = _tree(n=200, d=3, seed=8)
+    A, B = _ragged_batch(t, rng)
+    cd = t.cd if star else None
+    whole = bccp_pairs(t, A, B, cd)
+    for cells in (1, 7, 50):
+        monkeypatch.setattr(bccp_mod, "_RAGGED_CELLS", cells)
+        got = _check_against_dense(t, A, B, cd, exact_argmin=False)
+        for x, y in zip(got, whole):
+            assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("star", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_bccp_pairs_heavy_ties_first_argmin(d, star):
+    """Integer grid with repeats: distances tie everywhere (exactly,
+    since the arithmetic is exact); both paths must pick the first
+    minimum in row-major order, as np.argmin does."""
+    rng = np.random.default_rng(d + 20)
+    pts = rng.integers(0, 3, (150, d)).astype(np.float64)
+    t = kdt.build(pts, leaf_size=1)
+    kdt.attach_core_distances(t, rng.integers(1, 3, t.n).astype(np.float64))
+    A, B = _ragged_batch(t, rng)
+    _check_against_dense(t, A, B, t.cd if star else None, exact_argmin=True)
+
+
+def test_bccp_wrappers_match_bccp_pairs():
+    t = _tree(seed=6)
+    rng = np.random.default_rng(6)
+    A, B = rng.integers(0, t.n_nodes, (2, 50))
+    for cd, fn in ((None, bccp), (t.cd, bccp_star)):
+        u, v, w = bccp_pairs(t, A, B, cd)
+        for k, (a, b) in enumerate(zip(A, B)):
+            assert fn(t, int(a), int(b)) == (u[k], v[k], w[k])

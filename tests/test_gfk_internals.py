@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.bccp import bccp, bccp_star
-from repro.core.gfk import GfkStats, mono_labels
+from repro.core.gfk import BccpCache, GfkStats, mono_labels
 from repro.core.memogfk import get_pairs, get_rho
 from repro.core.wspd import wspd
 from repro.geometry import kdtree as kdt
@@ -74,7 +74,7 @@ def test_get_pairs_returns_exactly_in_range_edges(lo_q, hi_q):
     rho_hi = float(np.quantile(all_w, min(hi_q, 1.0))) if hi_q <= 1 else np.inf
     expect = np.sort(all_w[keep & (all_w >= rho_lo) & (all_w < rho_hi)])
     got = get_pairs(
-        t, rho_lo, rho_hi, mono, "s2", False, {}, GfkStats(), None
+        t, rho_lo, rho_hi, mono, "s2", False, BccpCache(), GfkStats(), None
     )
     assert np.allclose(np.sort(got[:, 2]), expect)
 
@@ -100,6 +100,29 @@ def test_get_rho_star_uses_core_distance_floor():
         if t.size(a) + t.size(b) <= 2:
             continue
         assert bccp_star(t, a, b)[2] >= rho - 1e-9
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_memogfk_computes_each_pair_once(monkeypatch, star):
+    """The BCCP cache is shared across rounds: every pair is computed
+    once, so the computed count equals the number of cache keys."""
+    from repro.core import memogfk
+
+    caches = []
+
+    def recording_cache():
+        caches.append(BccpCache())
+        return caches[-1]
+
+    monkeypatch.setattr(memogfk, "BccpCache", recording_cache)
+    t = _tree(n=400, d=3, seed=11)
+    if star:
+        kdt.attach_core_distances(t, np.random.default_rng(11).random(t.n))
+    _, stats = memogfk.memogfk_mst(t, star=star, separation="hdbscan" if star else "s2")
+    (cache,) = caches
+    assert stats.rounds > 1
+    assert stats.bccp_computed == cache.keys.size
+    assert np.unique(cache.keys).size == cache.keys.size
 
 
 def test_gfk_stats_fields():

@@ -54,27 +54,29 @@ def test_hdbscan_spark_equals_sequential(spark, midsize, method):
     assert np.allclose(np.sort(e_seq[:, 2]), np.sort(e_par[:, 2]))
 
 
-def test_spark_bccp_many_matches_local(spark, midsize):
-    """The mapInPandas BCCP kernel must agree with the driver kernel,
-    pair by pair, for both metrics."""
+def test_spark_bccp_many_matches_local(spark, midsize, monkeypatch):
+    """The mapInPandas BCCP kernel must agree exactly with the driver
+    kernel, pair by pair, for both metrics."""
     from repro.core import bccp as bccp_mod
     from repro.core.wspd import wspd
+    from repro.engine import distribute
 
     cd = cd_seq(midsize, 10)
     tree = kdt.build(midsize, leaf_size=1)
     kdt.attach_core_distances(tree, cd)
-    pairs = [tuple(map(int, p)) for p in wspd(tree, "s2")[:3000]]
-    ctx = SparkBccp(spark, tree)
-    try:
+    pairs = wspd(tree, "s2")[:3000]
+    # Fan out even though the batch is below the driver cutoff.
+    monkeypatch.setattr(distribute, "_MIN_PARALLEL_CELLS", 0)
+    with SparkBccp(spark, tree) as ctx:
         for star in (False, True):
-            got = dict(ctx.bccp_many(pairs, star=star))
+            got = ctx.bccp_many(pairs, star=star)
+            local = bccp_mod.bccp_pairs(
+                tree, pairs[:, 0], pairs[:, 1], tree.cd if star else None
+            )
+            assert np.array_equal(got, np.column_stack(local))
             fn = bccp_mod.bccp_star if star else bccp_mod.bccp
-            for p in pairs[:: max(1, len(pairs) // 200)]:
-                u, v, w = fn(tree, *p)
-                gu, gv, gw = got[p]
-                assert np.isclose(gw, w)
-    finally:
-        ctx.unpersist()
+            for k in range(0, len(pairs), max(1, len(pairs) // 200)):
+                assert tuple(got[k]) == fn(tree, *map(int, pairs[k]))
 
 
 def test_dendrogram_spark_equals_driver(spark):
@@ -96,16 +98,39 @@ def test_spark_bccp_small_batch_runs_on_driver(spark, midsize):
     """Tiny batches short-circuit to the driver (granularity control);
     results must be identical either way."""
     tree = kdt.build(midsize[:200], leaf_size=1)
-    ctx = SparkBccp(spark, tree)
-    try:
+    with SparkBccp(spark, tree) as ctx:
         internal = np.flatnonzero(tree.left >= 0)
-        pairs = [
-            (int(tree.left[v]), int(tree.right[v])) for v in internal[:5]
-        ]
-        got = dict(ctx.bccp_many(pairs))
+        pairs = np.column_stack([tree.left[internal[:5]], tree.right[internal[:5]]])
+        got = ctx.bccp_many(pairs)
         from repro.core.bccp import bccp
 
-        for p in pairs:
-            assert np.isclose(got[p][2], bccp(tree, *p)[2])
-    finally:
-        ctx.unpersist()
+        for k, p in enumerate(pairs):
+            assert np.isclose(got[k][2], bccp(tree, *map(int, p))[2])
+
+
+@pytest.mark.parametrize("entry", ["emst", "hdbscan"])
+def test_spark_bccp_broadcast_released_on_error(spark, monkeypatch, entry):
+    """The tree broadcast is released even when the MST run raises."""
+    from repro.core import emst as emst_mod
+    from repro.core import hdbscan as hdbscan_mod
+
+    released = []
+    unpersist = SparkBccp.unpersist
+
+    def recording_unpersist(self):
+        released.append(self)
+        unpersist(self)
+
+    def failing_mst(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(SparkBccp, "unpersist", recording_unpersist)
+    monkeypatch.setattr(emst_mod, "memogfk_mst", failing_mst)
+    monkeypatch.setattr(hdbscan_mod, "memogfk_mst", failing_mst)
+    pts = sd.uniform_fill(300, 2, seed=4)
+    with pytest.raises(RuntimeError, match="injected failure"):
+        if entry == "emst":
+            emst_memogfk(pts, spark=spark)
+        else:
+            hdbscan_mst(pts, 5, spark=spark)
+    assert len(released) == 1
