@@ -34,7 +34,10 @@ def main() -> None:
             "delaunay": emst_mod.emst_delaunay,
         }[args.algo]
         edges, stats = fn(pts, spark=spark)
-        print(f"pairs={stats.pairs_materialized} bccp={stats.bccp_computed}")
+        print(
+            f"pairs={stats.pairs_materialized} bccp={stats.bccp_computed} "
+            f"spark_fanouts={stats.spark_fanouts}"
+        )
     print(
         f"{args.dataset}: n={pts.shape[0]} edges={edges.shape[0]} "
         f"total weight={edges[:, 2].sum():.4f}"

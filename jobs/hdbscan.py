@@ -29,7 +29,8 @@ def main() -> None:
     finite = bars[1:]
     print(
         f"{args.dataset}: n={pts.shape[0]} MST weight={edges[:, 2].sum():.4f} "
-        f"pairs={stats.pairs_materialized} reachability bars "
+        f"pairs={stats.pairs_materialized} spark_fanouts={stats.spark_fanouts} "
+        f"reachability bars "
         f"min/median/max = {finite.min():.3f}/"
         f"{sorted(finite)[len(finite) // 2]:.3f}/{finite.max():.3f}"
     )

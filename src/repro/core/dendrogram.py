@@ -16,8 +16,9 @@ Two constructions, which must agree (tests enforce it):
   the heaviest ~n/10 edges ("heavy"), solve each light-edge component
   and the contracted heavy problem recursively, and graft light roots
   into the heavy dendrogram's leaves. With a SparkSession, the
-  top-level light subproblems are solved in one Spark fan-out (the
-  paper's implementation note: parallelism across subproblems).
+  top-level light subproblems are solved in one Spark fan-out when
+  they are large enough to pay for it (the paper's implementation
+  note: parallelism across subproblems).
 
 Node encoding: the dendrogram over n leaves has n-1 internal nodes in
 flat arrays ``left``/``right``/``weight``. A child reference r is a
@@ -183,6 +184,12 @@ def _bottom_up(
     return root
 
 
+def _n_heavy(m: int) -> int:
+    """How many of m edges are heavy: the heaviest tenth (paper: n/10),
+    at least one."""
+    return max(1, int(np.ceil(m * _HEAVY_FRAC)))
+
+
 def _split_subproblems(
     edges: np.ndarray,
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
@@ -196,8 +203,8 @@ def _split_subproblems(
     """
     m = edges.shape[0]
     k = m + 1
-    h = max(1, int(np.ceil(m * _HEAVY_FRAC)))
-    # h heaviest edges are heavy (paper: n/10). Ties broken stably.
+    h = _n_heavy(m)
+    # The h heaviest edges are heavy; ties broken stably.
     order = np.argsort(-edges[:, 2], kind="stable")
     heavy_idx = order[:h]
     light_idx = order[h:]
@@ -290,9 +297,10 @@ def dendrogram_topdown(
 ) -> Dendrogram:
     """The paper's top-down divide-and-conquer ordered dendrogram.
 
-    With ``spark``, the top level's light-edge subproblems are solved in
-    one Spark fan-out (each by the same kernel, in an executor) and
-    grafted into the heavy-edge dendrogram computed on the driver.
+    With ``spark``, when the top level's light-edge subproblems hold
+    enough edges to pay for a fan-out, they are solved in one Spark
+    fan-out (each by the same kernel, in an executor) and grafted into
+    the heavy-edge dendrogram computed on the driver.
     """
     n = edges.shape[0] + 1
     if n == 1:
@@ -303,14 +311,15 @@ def dendrogram_topdown(
     )
     builder = _Builder(n)
     refs = np.array([leaf_ref(i) for i in range(n)], dtype=np.int64)
-    if spark is None or edges.shape[0] <= _SEQ_CUTOFF:
+    if spark is not None:
+        from ..engine.distribute import fans_out, run_payloads_spark
+    m = n - 1
+    if spark is None or not fans_out(spark, m - _n_heavy(m), "dendrogram"):
         root = _solve(e5, refs, builder)
         return Dendrogram(n, builder.left, builder.right, builder.weight, root)
 
     # Spark path: one level of subproblem finding on the driver, light
     # subproblems in executors, heavy subproblem recursively on driver.
-    from ..engine.distribute import run_payloads_spark
-
     he, lights, comp_of_vertex = _split_subproblems(e5)
     n_comp = int(comp_of_vertex.max()) + 1
     comp_refs = np.empty(n_comp, dtype=np.int64)
@@ -323,9 +332,7 @@ def dendrogram_topdown(
         for sub_local, members in lights
     ]
     results = run_payloads_spark(spark, payloads, "solve_subproblem_kernel")
-    for sub_id, blob in results:
-        sub_local, members = lights[sub_id]
-        l_left, l_right, l_weight, l_root = pickle.loads(blob)
+    for (_, members), (l_left, l_right, l_weight, l_root) in zip(lights, results):
         base = builder.next_id
         # Remap local refs: leaves -> global refs of members; internal
         # -> builder index + base.

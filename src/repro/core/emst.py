@@ -8,9 +8,10 @@
 
 Each takes an optional SparkSession; when given, the heavy inner loops
 (all-pairs BCCP for naive, per-round BCCP batches for GFK/MemoGFK) run
-as Spark jobs — the "48 cores" configuration. The returned edges are
-(n-1, 3) [u, v, w] rows; ties aside, every implementation returns the
-same MST weight multiset (tests enforce this against a Prim oracle).
+as Spark jobs when a batch is large enough to pay for the fan-out — the
+"48 cores" configuration. The returned edges are (n-1, 3) [u, v, w]
+rows; ties aside, every implementation returns the same MST weight
+multiset (tests enforce this against a Prim oracle).
 """
 from __future__ import annotations
 
@@ -75,53 +76,16 @@ def emst_delaunay(
 
     The triangulation itself is the driver-side Bowyer–Watson substrate
     (DESIGN.md documents this substitution for PBBS's parallel
-    Delaunay); when a SparkSession is given, the O(n) edge-weighting is
-    done as a DataFrame job so the parallel path is still exercised.
+    Delaunay). ``spark`` is accepted for a uniform signature; the O(n)
+    edge weights are computed on the driver, where no fan-out can beat
+    them.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.shape[1] != 2:
         raise ValueError("EMST-Delaunay is 2D only")
     de = delaunay_edges(pts)
     stats = GfkStats(rounds=1, pairs_materialized=int(de.shape[0]))
-    if spark is not None:
-        import pandas as pd
-        from pyspark.sql import functions as F
-
-        edf = spark.createDataFrame(
-            pd.DataFrame({"u": de[:, 0], "v": de[:, 1]})
-        )
-        pdf_pts = spark.createDataFrame(
-            pd.DataFrame(
-                {"id": np.arange(pts.shape[0]), "x": pts[:, 0], "y": pts[:, 1]}
-            )
-        )
-        pu = pdf_pts.select(
-            F.col("id").alias("u"), F.col("x").alias("ux"), F.col("y").alias("uy")
-        )
-        pv = pdf_pts.select(
-            F.col("id").alias("v"), F.col("x").alias("vx"), F.col("y").alias("vy")
-        )
-        joined = (
-            edf.join(pu, "u")
-            .join(pv, "v")
-            .select(
-                "u",
-                "v",
-                F.sqrt(
-                    (F.col("ux") - F.col("vx")) ** 2
-                    + (F.col("uy") - F.col("vy")) ** 2
-                ).alias("w"),
-            )
-        )
-        res = joined.toPandas()
-        us, vs, ws = (
-            res["u"].to_numpy(),
-            res["v"].to_numpy(),
-            res["w"].to_numpy(),
-        )
-    else:
-        diff = pts[de[:, 0]] - pts[de[:, 1]]
-        ws = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        us, vs = de[:, 0], de[:, 1]
-    mst = kruskal.mst(pts.shape[0], us, vs, ws)
+    diff = pts[de[:, 0]] - pts[de[:, 1]]
+    ws = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    mst = kruskal.mst(pts.shape[0], de[:, 0], de[:, 1], ws)
     return mst, stats

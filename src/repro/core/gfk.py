@@ -12,9 +12,10 @@ Round structure (exactly the paper's):
    one component.
 6. beta *= 2 (doubling => O(log n) rounds; the paper's depth argument).
 
-``spark_ctx`` (a ``repro.engine.distribute.SparkBccp``) switches the
-BCCP batch of step 3 from one batched driver call to a Spark
-``mapInPandas`` fan-out — the "48 cores" configuration of Tables 2/4/5.
+``spark_ctx`` (a ``repro.engine.distribute.SparkBccp``) lets the BCCP
+batch of step 3 run as a Spark ``mapInPandas`` fan-out when the batch
+is large enough to pay for it — the "48 cores" configuration of Tables
+2/4/5.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ class GfkStats:
     bccp_computed: int = 0
     pairs_materialized: int = 0       # peak simultaneously-live pairs
     bccp_work_cells: int = 0          # sum |A||B| actually evaluated
+    spark_fanouts: int = 0            # BCCP batches shipped to Spark
     extra: dict = field(default_factory=dict)
 
 
@@ -88,8 +90,8 @@ def pair_bccps(
     pairs (A[k], B[k]), in order.
 
     The pairs missing from ``cache`` are computed once, in one batch:
-    ``bccp_pairs`` on the driver, or one Spark fan-out through
-    ``spark_ctx``; they are then added to the cache.
+    ``bccp_pairs`` on the driver, or through ``spark_ctx``, which ships
+    the batch to Spark when that pays; they are then added to the cache.
     """
     m = tree.n_nodes
     keys = A.astype(np.int64) * m + B
@@ -100,7 +102,7 @@ def pair_bccps(
         stats.bccp_computed += int(new.size)
         stats.bccp_work_cells += int((sz[a] * sz[b]).sum())
         if spark_ctx is not None:
-            edges = spark_ctx.bccp_many(np.column_stack([a, b]), star=star)
+            edges = spark_ctx.bccp_many(np.column_stack([a, b]), star=star, stats=stats)
         else:
             edges = np.column_stack(bccp_pairs(tree, a, b, tree.cd if star else None))
         keys_all = np.concatenate([cache.keys, new])

@@ -4,7 +4,7 @@ Pipeline (both methods):
 
 1. core distances cd(p) = distance to the minPts-th nearest neighbor
    including p (k-NN over the kd-tree; Spark-chunked when a session is
-   given);
+   given and the queries are enough to pay for the fan-out);
 2. kd-tree augmented with per-node cd_min/cd_max;
 3. MST of the mutual reachability graph via MemoGFK with BCCP*:
 
@@ -33,7 +33,8 @@ from .wspd import wspd
 def core_distances(
     points: np.ndarray, min_pts: int, spark: SparkSession | None = None
 ) -> np.ndarray:
-    """cd(p) for every point; parallel k-NN when ``spark`` is given."""
+    """cd(p) for every point; with ``spark``, parallel k-NN when the
+    queries are enough to pay for a fan-out."""
     if spark is not None:
         from ..engine.distribute import core_distances_spark
 

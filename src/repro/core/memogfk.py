@@ -21,8 +21,9 @@ One function serves three paper variants:
 * BCCP*, s=2 separation                      -> HDBSCAN*-GanTao (exact)
 * BCCP*, the paper's new well-separation     -> HDBSCAN*-MemoGFK
 
-``spark_ctx`` (repro.engine.distribute.SparkBccp) fans the per-round
-BCCP batch out to executors — the "48 cores" configuration.
+``spark_ctx`` (repro.engine.distribute.SparkBccp) fans a round's BCCP
+batch out to executors when it is large enough to pay for the fan-out —
+the "48 cores" configuration.
 """
 from __future__ import annotations
 

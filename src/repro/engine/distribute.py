@@ -1,22 +1,23 @@
 """Spark fan-out of the paper's shared-memory parallel loops.
 
-The paper runs on a 48-core Cilk machine; every parallel-for over
-independent heavy kernels (BCCP batches, k-NN queries, light-edge
-dendrogram subproblems) maps here onto one Spark DataFrame job:
+The paper runs on a 48-core Cilk machine. Its parallel-for loops over
+independent kernels (the k-NN of the core distances, the BCCP / BCCP*
+batch of a GFK or MemoGFK round, the light-edge subproblems of the
+top-down dendrogram) all map here onto one fan-out, ``_fan_out``:
 
-* driver broadcasts the kd-tree (reordered points, core distances, node
-  arrays) once per run;
-* the work list (node-id pairs, query-id chunks, pickled subproblems)
-  becomes a DataFrame, explicitly spread over ``defaultParallelism``
-  partitions by a balanced partition key;
-* ``mapInPandas`` runs the identical NumPy kernels used by the
-  sequential path inside executors, once per Arrow batch;
-* results return to the driver (Kruskal's union-find, like the paper's,
-  is a serial fraction that Figure 8 shows is negligible).
+* the driver cuts the batch into ``defaultParallelism`` contiguous
+  chunks of about equal work and pickles each chunk into one row;
+* Arrow ``createDataFrame`` slices those rows into ``defaultParallelism``
+  partitions, so each chunk is one task and nothing is shuffled;
+* ``mapInPandas`` runs the kernel the driver path uses, in one Spark
+  job; shared state (the kd-tree) travels as a broadcast;
+* ``toPandas`` brings the results back, returned in chunk order.
 
-Tiny batches are executed on the driver instead — shipping four
-integers to a cluster to compare two points is pure overhead; the paper
-makes the same granularity argument for its parallel loops.
+A batch fans out only when that pays (``fans_out``): its estimated
+driver seconds, work count / the kernel's driver throughput, times the
+share that parallel tasks save, 1 - 1/defaultParallelism, must exceed
+the fixed cost of one fan-out. Otherwise the driver runs the same
+kernel, with the same result.
 """
 from __future__ import annotations
 
@@ -29,24 +30,80 @@ from pyspark.sql import SparkSession
 from ..core.bccp import bccp_pairs
 from ..geometry.kdtree import KDTree
 
-# Below this many distance-matrix cells a fan-out costs more than it
-# saves; the batch runs on the driver.
-_MIN_PARALLEL_CELLS = 100_000
+# Fixed cost of one fan-out: an empty createDataFrame -> mapInPandas ->
+# toPandas job of 4 one-row chunks took 0.29-0.35 s warm on local[4]
+# (4-vCPU VM; 0.32-0.39 s with a repartition).
+_FANOUT_S = 0.3
+
+# Driver throughput of each kernel in work items per second, measured
+# on the same VM.
+_DRIVER_PER_S = {
+    # bccp_pairs: 19-27 M distance cells/s on MemoGFK rounds of small
+    # pairs (33 M/s on a whole 3D WSPD, large pairs included).
+    "bccp": 25e6,
+    # kth_distances, 3D, k = 10: 36-61 K queries/s (n = 5,000-20,000).
+    "knn": 50e3,
+    # dendrogram_topdown: 20-30 K tree edges/s (n = 5,000-20,000).
+    "dendrogram": 25e3,
+}
+
+
+def fans_out(spark: SparkSession, work: int, kernel: str) -> bool:
+    """Whether a batch of ``work`` items of ``kernel`` ("bccp": distance
+    cells, "knn": queries, "dendrogram": light-subproblem edges) should
+    leave the driver: its driver seconds times 1 - 1/defaultParallelism
+    exceed the fixed cost of one fan-out."""
+    driver_s = work / _DRIVER_PER_S[kernel]
+    return driver_s * (1 - 1 / spark.sparkContext.defaultParallelism) > _FANOUT_S
+
+
+def _fan_out(spark: SparkSession, kernel, items, work: np.ndarray) -> list:
+    """``kernel(chunk)`` for contiguous chunks of ``items`` (an array or
+    list) of about equal total ``work`` (one number per item), run as
+    one Spark job with one chunk per task; the results in chunk order."""
+    parts = spark.sparkContext.defaultParallelism
+    total = np.cumsum(work)
+    cuts = np.searchsorted(total, total[-1] * np.arange(1, parts) / parts, side="right")
+    bounds = np.unique(np.concatenate([[0], cuts, [len(items)]]))
+    pdf = pd.DataFrame(
+        {
+            "i": np.arange(bounds.size - 1),
+            "blob": [pickle.dumps(items[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])],
+        }
+    )
+
+    def compute(batches):
+        for b in batches:
+            out = [pickle.dumps(kernel(pickle.loads(blob))) for blob in b["blob"]]
+            yield pd.DataFrame({"i": b["i"].to_numpy(), "blob": out})
+
+    res = (
+        spark.createDataFrame(pdf)
+        .mapInPandas(compute, schema="i long, blob binary")
+        .toPandas()
+        .sort_values("i")
+    )
+    return [pickle.loads(blob) for blob in res["blob"]]
+
+
+def _bccp_edges(tree: KDTree, pairs: np.ndarray, star: bool) -> np.ndarray:
+    cd = tree.cd if star else None
+    return np.column_stack(bccp_pairs(tree, pairs[:, 0], pairs[:, 1], cd))
 
 
 class SparkBccp:
     """Distributes BCCP / BCCP* batches for GFK and MemoGFK rounds.
 
-    Construct once per MST run (one broadcast of the tree), then
-    ``bccp_many`` is called every round with that round's missing pairs.
-    As a context manager it releases the broadcast on exit.
+    Construct once per MST run; ``bccp_many`` is called every round with
+    that round's missing pairs. The tree is broadcast on the first batch
+    that fans out; as a context manager it releases that broadcast on
+    exit.
     """
 
-    def __init__(self, spark: SparkSession, tree: KDTree, n_parts: int | None = None):
+    def __init__(self, spark: SparkSession, tree: KDTree):
         self.spark = spark
         self.tree = tree
-        self.n_parts = n_parts or spark.sparkContext.defaultParallelism
-        self._bc = spark.sparkContext.broadcast(tree)
+        self._bc = None
 
     def __enter__(self) -> SparkBccp:
         return self
@@ -55,147 +112,72 @@ class SparkBccp:
         self.unpersist()
 
     def unpersist(self) -> None:
-        self._bc.unpersist()
+        if self._bc is not None:
+            self._bc.unpersist()
+            self._bc = None
 
-    def bccp_many(self, pairs: np.ndarray, star: bool = False) -> np.ndarray:
+    def bccp_many(self, pairs: np.ndarray, star: bool = False, stats=None) -> np.ndarray:
         """BCCP (or BCCP*) of each (node_a, node_b) row of ``pairs``.
 
         Returns the (k, 3) [u, v, w] edges in pair order, u and v in
         original ids: the same values ``bccp_pairs`` gives on the driver.
+        A batch that fans out adds one to ``stats.spark_fanouts``.
         """
-        t = self.tree
-        sz = t.hi - t.lo
+        sz = self.tree.hi - self.tree.lo
         cells = sz[pairs[:, 0]] * sz[pairs[:, 1]]
-        if int(cells.sum()) < _MIN_PARALLEL_CELLS:
-            return np.column_stack(
-                bccp_pairs(t, pairs[:, 0], pairs[:, 1], t.cd if star else None)
-            )
-
-        # Balance: largest pairs first, round-robin over partitions.
-        order = np.argsort(-cells, kind="stable")
-        pdf = pd.DataFrame(
-            {
-                "k": order,
-                "a": pairs[order, 0],
-                "b": pairs[order, 1],
-                "part": np.arange(order.size, dtype=np.int64) % self.n_parts,
-            }
-        )
+        if not fans_out(self.spark, int(cells.sum()), "bccp"):
+            return _bccp_edges(self.tree, pairs, star)
+        if self._bc is None:
+            self._bc = self.spark.sparkContext.broadcast(self.tree)
+        if stats is not None:
+            stats.spark_fanouts += 1
         bc = self._bc
-        use_star = bool(star)
-
-        def compute(batches):
-            tree = bc.value
-            cd = tree.cd if use_star else None
-            for b_pdf in batches:
-                u, v, w = bccp_pairs(
-                    tree, b_pdf["a"].to_numpy(), b_pdf["b"].to_numpy(), cd
-                )
-                yield pd.DataFrame({"k": b_pdf["k"].to_numpy(), "u": u, "v": v, "w": w})
-
-        res = (
-            self.spark.createDataFrame(pdf)
-            .repartition(self.n_parts, "part")
-            .mapInPandas(compute, schema="k long, u long, v long, w double")
-            .toPandas()
-        )
-        out = np.empty((pairs.shape[0], 3))
-        out[res["k"].to_numpy()] = res[["u", "v", "w"]].to_numpy(dtype=np.float64)
-        return out
+        chunks = _fan_out(self.spark, lambda p: _bccp_edges(bc.value, p, star), pairs, cells)
+        return np.concatenate(chunks)
 
 
 def core_distances_spark(
-    spark: SparkSession,
-    points: np.ndarray,
-    min_pts: int,
-    leaf_size: int = 16,
-    n_chunks: int | None = None,
+    spark: SparkSession, points: np.ndarray, min_pts: int, leaf_size: int = 16
 ) -> np.ndarray:
-    """Parallel core distances: build the k-NN tree on the driver,
-    broadcast it, and fan the queries out in contiguous chunks.
+    """Parallel core distances (the paper's parallel k-NN step, Section
+    3.2.1): cd[i] for every original point id i.
 
-    Mirrors the paper's parallel k-NN step (Section 3.2.1); returns
-    cd[i] for every original point id i.
+    When the queries fan out, the driver builds the k-NN tree,
+    broadcasts it and ships the queries in chunks; otherwise this is
+    ``knn.core_distances``.
     """
     from ..geometry import kdtree as kdt
-    from ..geometry.knn import kth_distances
+    from ..geometry.knn import core_distances, kth_distances
 
     pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     n = pts.shape[0]
+    if not fans_out(spark, n, "knn"):
+        return core_distances(pts, min_pts, leaf_size)
     if min_pts > n:
         raise ValueError("minPts larger than the point set")
-    tree = kdt.build(pts.copy(), leaf_size=leaf_size)
-    par = n_chunks or 4 * spark.sparkContext.defaultParallelism
-    if n < 4096:
-        return kth_distances(tree, pts, min_pts)
-    bounds = np.linspace(0, n, par + 1, dtype=np.int64)
-    pdf = pd.DataFrame(
-        {"lo": bounds[:-1], "hi": bounds[1:], "part": np.arange(par) % par}
-    )
+    bc = spark.sparkContext.broadcast(kdt.build(pts, leaf_size=leaf_size))
     k = int(min_pts)
-    bc = spark.sparkContext.broadcast({"tree": tree, "queries": pts})
-
-    def compute(batches):
-        data = bc.value
-        t, q = data["tree"], data["queries"]
-        for b_pdf in batches:
-            for lo, hi in zip(b_pdf["lo"].to_numpy(), b_pdf["hi"].to_numpy()):
-                cds = kth_distances(t, q[lo:hi], k)
-                yield pd.DataFrame(
-                    {"id": np.arange(lo, hi, dtype=np.int64), "cd": cds}
-                )
-
     try:
-        res = (
-            spark.createDataFrame(pdf)
-            .repartition(min(par, 64), "part")
-            .mapInPandas(compute, schema="id long, cd double")
-            .toPandas()
-        )
+        chunks = _fan_out(spark, lambda q: kth_distances(bc.value, q, k), pts, np.ones(n))
     finally:
         bc.unpersist()
-    out = np.empty(n)
-    out[res["id"].to_numpy()] = res["cd"].to_numpy()
-    return out
+    return np.concatenate(chunks)
 
 
-def run_payloads_spark(
-    spark: SparkSession, payloads: list[bytes], fn_name: str
-) -> list[tuple[int, bytes]]:
-    """Generic pickled-payload fan-out, used for dendrogram light-edge
-    subproblems: each payload is solved in an executor by the named
-    kernel from ``repro.core.dendrogram`` and pickled back.
+def run_payloads_spark(spark: SparkSession, payloads: list[bytes], fn_name: str) -> list:
+    """Pickled-payload fan-out, used for dendrogram light-edge
+    subproblems: each payload is unpickled into the arguments of the
+    named kernel from ``repro.core.dendrogram``, which runs in an
+    executor. Returns the kernel results in payload order.
     """
     if not payloads:
         return []
-    n_parts = min(len(payloads), spark.sparkContext.defaultParallelism)
-    sizes = np.array([len(p) for p in payloads], dtype=np.int64)
-    order = np.argsort(-sizes, kind="stable")
-    pdf = pd.DataFrame(
-        {
-            "sub_id": [int(i) for i in order],
-            "blob": [payloads[i] for i in order],
-            "part": np.arange(order.size, dtype=np.int64) % n_parts,
-        }
-    )
-    kernel_name = fn_name
 
-    def compute(batches):
+    def kernel(blobs):
         from ..core import dendrogram as dmod
 
-        kernel = getattr(dmod, kernel_name)
-        for b_pdf in batches:
-            out = {"sub_id": [], "blob": []}
-            for sid, blob in zip(b_pdf["sub_id"], b_pdf["blob"]):
-                result = kernel(*pickle.loads(bytes(blob)))
-                out["sub_id"].append(int(sid))
-                out["blob"].append(pickle.dumps(result))
-            yield pd.DataFrame(out)
+        fn = getattr(dmod, fn_name)
+        return [fn(*pickle.loads(b)) for b in blobs]
 
-    res = (
-        spark.createDataFrame(pdf)
-        .repartition(n_parts, "part")
-        .mapInPandas(compute, schema="sub_id long, blob binary")
-        .toPandas()
-    )
-    return [(int(r.sub_id), bytes(r.blob)) for r in res.itertuples()]
+    sizes = np.array([len(p) for p in payloads])
+    return [r for chunk in _fan_out(spark, kernel, payloads, sizes) for r in chunk]

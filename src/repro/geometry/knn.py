@@ -2,7 +2,7 @@
 
 HDBSCAN* needs, for every point p, the distance to its minPts-th
 nearest neighbor *including p itself* (the core distance, Section 2.1).
-The kernel here is written so that a chunk of query ids can be shipped
+The kernel here is written so that a chunk of queries can be shipped
 to a Spark executor together with a broadcast tree
 (``repro.engine.distribute.core_distances_spark``), mirroring the
 paper's parallel k-NN [13].
