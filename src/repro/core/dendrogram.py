@@ -62,24 +62,6 @@ class Dendrogram:
     weight: np.ndarray  # (n-1,) split heights
     root: int           # ref of the root
 
-    def inorder_leaves(self) -> np.ndarray:
-        """Leaves in in-order — Prim's visit order (Theorem 4.2)."""
-        out = np.empty(self.n, dtype=np.int64)
-        k = 0
-        stack: list[int] = []
-        cur = self.root
-        while stack or not is_leaf(cur) or True:
-            while not is_leaf(cur):
-                stack.append(cur)
-                cur = int(self.left[cur])
-            out[k] = leaf_vertex(cur)
-            k += 1
-            if not stack:
-                break
-            cur = int(self.right[stack.pop()])
-        assert k == self.n
-        return out
-
     def reachability(self) -> tuple[np.ndarray, np.ndarray]:
         """(order, bars): the reachability plot. bars[0] = inf; for
         i > 0, bars[i] is the weight of the internal node between
@@ -209,8 +191,7 @@ def _split_subproblems(
     heavy_idx = order[:h]
     light_idx = order[h:]
     uf = UnionFind(k)
-    for u, v, *_ in edges[light_idx]:
-        uf.union(int(u), int(v))
+    uf.union_batch(edges[light_idx, 0], edges[light_idx, 1])
     labels = uf.labels()
     comp_ids, comp_of_vertex = np.unique(labels, return_inverse=True)
 
@@ -351,10 +332,10 @@ def single_linkage_labels(
 ) -> np.ndarray:
     """Flat single-linkage clustering: components under EMST edges with
     weight <= eps (the horizontal dendrogram cut at eps)."""
+    e = np.asarray(emst_edges).reshape(-1, 3)
+    cut = e[e[:, 2] <= eps]
     uf = UnionFind(n)
-    for u, v, w in emst_edges:
-        if w <= eps:
-            uf.union(int(u), int(v))
+    uf.union_batch(cut[:, 0], cut[:, 1])
     roots = uf.labels()
     _, labels = np.unique(roots, return_inverse=True)
     return labels

@@ -83,6 +83,8 @@ def emst_delaunay(
     pts = np.asarray(points, dtype=np.float64)
     if pts.shape[1] != 2:
         raise ValueError("EMST-Delaunay is 2D only")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite (found NaN or inf)")
     de = delaunay_edges(pts)
     stats = GfkStats(rounds=1, pairs_materialized=int(de.shape[0]))
     diff = pts[de[:, 0]] - pts[de[:, 1]]

@@ -118,16 +118,12 @@ def dbscan_star_from_mst(
 
     n = cd.shape[0]
     core = cd <= eps
+    e = np.asarray(mst_edges).reshape(-1, 3)
+    u, v = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64)
+    keep = (e[:, 2] <= eps) & core[u] & core[v]
     uf = UnionFind(n)
-    for u, v, w in mst_edges:
-        if w <= eps and core[int(u)] and core[int(v)]:
-            uf.union(int(u), int(v))
-    labels = np.full(n, -1, dtype=np.int64)
-    roots = uf.labels()
+    uf.union_batch(u[keep], v[keep])
     # Canonical labels: cluster id = rank of root among core roots.
-    core_roots = np.unique(roots[core])
-    remap = {int(r): i for i, r in enumerate(core_roots)}
-    for i in range(n):
-        if core[i]:
-            labels[i] = remap[int(roots[i])]
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[core] = np.unique(uf.labels()[core], return_inverse=True)[1]
     return labels

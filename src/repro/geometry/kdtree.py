@@ -15,6 +15,13 @@ of BCCP kernels cheap (see ``repro.engine.distribute``).
 The split rule is the paper's "spatial median": cut the widest
 dimension of the node's bounding box at its midpoint, falling back to
 an object-median split when duplicates would make a side empty.
+
+The build is level-synchronous, an array form of the paper's parallel
+build: all nodes of one depth are split at once. One segmented
+``reduceat`` gives their boxes, each segment takes its widest dimension
+and midpoint cut, and one stable ``lexsort`` by segment, then side (or
+key, for a median split), reorders every segment's points. Node ids are therefore breadth-first: the root is 0, and each
+level's nodes follow the previous level's, left to right.
 """
 from __future__ import annotations
 
@@ -125,9 +132,13 @@ class KDTree:
 def build(points: np.ndarray, leaf_size: int = 1) -> KDTree:
     """Build a spatial-median kd-tree over ``points`` (n, d).
 
-    Iterative (explicit stack) so that skewed inputs cannot overflow
-    Python's recursion limit. O(n log n) expected. ``leaf_size=1``
-    matches the paper's WSPD tree; k-NN uses a coarser tree for speed.
+    Level-synchronous: every node of one depth is split at once, so the
+    Python loop runs once per level, not once per node, and skewed
+    inputs cannot overflow a recursion limit. Node ids are breadth-first
+    (the root is 0; each level's children follow in left-to-right
+    order). O(n log n) for balanced inputs; a depth-D tree costs O(n D).
+    ``leaf_size=1`` matches the paper's WSPD tree; k-NN uses a coarser
+    tree for speed. Raises ``ValueError`` on NaN/inf coordinates.
     """
     # Always copy: the build reorders rows in place, and the caller's
     # array must stay in original-id order (edge ids refer to it).
@@ -137,70 +148,83 @@ def build(points: np.ndarray, leaf_size: int = 1) -> KDTree:
     n = pts.shape[0]
     if n == 0:
         raise ValueError("empty point set")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite (found NaN or inf)")
     perm = np.arange(n, dtype=np.int64)
+    d = pts.shape[1]
 
-    left: list[int] = []
-    right: list[int] = []
-    los: list[int] = []
-    his: list[int] = []
-    # Stack of (node_id, lo, hi); children are allocated when popped.
-    def new_node(lo: int, hi: int) -> int:
-        left.append(-1)
-        right.append(-1)
+    # Per level: node ranges, and the ids and boxes of its split nodes.
+    lo = np.zeros(1, dtype=np.int64)
+    hi = np.full(1, n, dtype=np.int64)
+    los, his = [lo], [hi]
+    internal, mins, maxs = [np.empty(0, dtype=np.int64)], [np.empty((0, d))], [np.empty((0, d))]
+    first = 0  # id of the level's first node
+    while True:
+        split = hi - lo > leaf_size
+        if not split.any():
+            break
+        s_lo, size = lo[split], (hi - lo)[split]
+        S = s_lo.size
+        # Rows of the splitting nodes, gathered segment by segment.
+        starts = np.cumsum(size) - size
+        seg = np.repeat(np.arange(S), size)
+        rows = np.arange(seg.size) - starts[seg] + s_lo[seg]
+        sub = pts[rows]
+        mn = np.minimum.reduceat(sub, starts, axis=0)
+        mx = np.maximum.reduceat(sub, starts, axis=0)
+        # Split rule per segment: cut the widest dimension at its
+        # midpoint; an object-median split when every point is
+        # identical (identity order) or when duplicates piled on the
+        # midpoint leave a side empty (stable sort by the key).
+        dim = np.argmax(mx - mn, axis=1)
+        at = np.arange(S)
+        width = mx[at, dim] - mn[at, dim]
+        cut = 0.5 * (mn[at, dim] + mx[at, dim])
+        keys = sub[np.arange(seg.size), dim[seg]]
+        side = (keys >= cut[seg]).astype(np.float64)
+        n_left = size - np.add.reduceat(side, starts).astype(np.int64)
+        same = width <= 0.0
+        median = ~same & ((n_left == 0) | (n_left == size))
+        mid = np.where(same | median, size // 2, n_left)
+        side[same[seg]] = 0.0
+        side[median[seg]] = keys[median[seg]]
+        order = np.lexsort((side, seg))
+        pts[rows] = sub[order]
+        perm[rows] = perm[rows][order]
+        internal.append(first + np.flatnonzero(split))
+        mins.append(mn)
+        maxs.append(mx)
+        first += lo.size
+        # Children (lo, lo + mid) and (lo + mid, hi), in parent order.
+        lo = np.column_stack([s_lo, s_lo + mid]).ravel()
+        hi = np.column_stack([s_lo + mid, s_lo + size]).ravel()
         los.append(lo)
         his.append(hi)
-        return len(left) - 1
 
-    root = new_node(0, n)
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        lo, hi = los[node], his[node]
-        if hi - lo <= leaf_size:
-            continue
-        seg = pts[lo:hi]
-        mn = seg.min(axis=0)
-        mx = seg.max(axis=0)
-        widths = mx - mn
-        dim = int(np.argmax(widths))
-        if widths[dim] <= 0.0:
-            # All points identical: object-median split keeps progress.
-            mid = (hi - lo) // 2
-            order = np.arange(hi - lo)
-        else:
-            cut = 0.5 * (mn[dim] + mx[dim])
-            keys = seg[:, dim]
-            mask = keys < cut
-            mid = int(mask.sum())
-            if mid == 0 or mid == hi - lo:
-                # Duplicates piled on the midpoint: fall back to median.
-                mid = (hi - lo) // 2
-                order = np.argsort(keys, kind="stable")
-            else:
-                order = np.argsort(~mask, kind="stable")  # True (left) first
-        pts[lo:hi] = seg[order]
-        perm[lo:hi] = perm[lo:hi][order]
-        l = new_node(lo, lo + mid)
-        r = new_node(lo + mid, hi)
-        left[node] = l
-        right[node] = r
-        stack.append(l)
-        stack.append(r)
-
-    left_a = np.asarray(left, dtype=np.int32)
-    right_a = np.asarray(right, dtype=np.int32)
-    lo_a = np.asarray(los, dtype=np.int64)
-    hi_a = np.asarray(his, dtype=np.int64)
-    levels = _internal_levels(left_a, right_a)
-    bb_min = _reduce_up(np.minimum, pts, left_a, right_a, lo_a, levels)
-    bb_max = _reduce_up(np.maximum, pts, left_a, right_a, lo_a, levels)
+    lo_a = np.concatenate(los)
+    hi_a = np.concatenate(his)
+    m = lo_a.size
+    # Breadth-first ids: the k-th internal node's children are 2k+1, 2k+2.
+    internal = np.concatenate(internal)
+    left = np.full(m, -1, dtype=np.int32)
+    right = np.full(m, -1, dtype=np.int32)
+    left[internal] = 1 + 2 * np.arange(internal.size)
+    right[internal] = left[internal] + 1
+    bb_min = np.empty((m, d))
+    bb_max = np.empty((m, d))
+    bb_min[internal] = np.concatenate(mins)
+    bb_max[internal] = np.concatenate(maxs)
+    leaves = np.flatnonzero(left < 0)
+    leaves = leaves[np.argsort(lo_a[leaves])]
+    bb_min[leaves] = np.minimum.reduceat(pts, lo_a[leaves], axis=0)
+    bb_max[leaves] = np.maximum.reduceat(pts, lo_a[leaves], axis=0)
     center = 0.5 * (bb_min + bb_max)
     radius = 0.5 * np.linalg.norm(bb_max - bb_min, axis=1)
     return KDTree(
         pts=pts,
         perm=perm,
-        left=left_a,
-        right=right_a,
+        left=left,
+        right=right,
         lo=lo_a,
         hi=hi_a,
         bb_min=bb_min,

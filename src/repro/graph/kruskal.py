@@ -4,6 +4,10 @@ Used as the per-batch subroutine of GFK/MemoGFK (Algorithms 2-3): each
 call receives a batch of edges whose weights are no smaller than any
 previously-processed batch, and the union-find persists across calls,
 so processing batches in weight order is exactly Kruskal's algorithm.
+
+Each batch is one stable sort by weight and one ``UnionFind.union_batch``
+(the array-at-a-time form of PBBS's deterministic-reservations Kruskal):
+the same accepted edges, in the same order, as a per-edge loop.
 """
 from __future__ import annotations
 
@@ -23,13 +27,10 @@ def kruskal_batch(
     appending accepted MST edges to ``out_edges``. Returns the number
     of edges accepted."""
     order = np.argsort(ws, kind="stable")
-    added = 0
-    for i in order:
-        u, v = int(us[i]), int(vs[i])
-        if uf.union(u, v):
-            out_edges.append((u, v, float(ws[i])))
-            added += 1
-    return added
+    us, vs, ws = us[order], vs[order], ws[order]
+    acc = uf.union_batch(us, vs)
+    out_edges.extend(zip(us[acc].tolist(), vs[acc].tolist(), ws[acc].tolist()))
+    return int(acc.sum())
 
 
 def mst(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> np.ndarray:

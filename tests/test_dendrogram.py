@@ -164,3 +164,23 @@ def test_hdbscan_dendrogram_end_to_end():
         assert is_valid_prim_order(500, edges, order, bars)
         # The multiset of bar heights is tie-break invariant.
         assert np.allclose(np.sort(bars[1:]), np.sort(bars_ref[1:]))
+
+
+@pytest.mark.parametrize("s_frac", [0.0, 0.5])
+def test_topdown_equals_sequential_on_collinear_path(s_frac):
+    """Collinear points: the EMST is a path, the deepest recursion the
+    top-down split meets."""
+    n = 2500
+    rng = np.random.default_rng(11)
+    x = np.sort(rng.random(n))
+    ids = rng.permutation(n)  # vertex ids scattered along the line
+    pts = np.empty((n, 2))
+    pts[ids] = np.column_stack([x, 2.0 * x])
+    edges = np.column_stack(
+        [ids[:-1], ids[1:], np.linalg.norm(np.diff(pts[ids], axis=0), axis=1)]
+    ).astype(np.float64)
+    s = int(ids[int(s_frac * (n - 1))])
+    o1, b1 = dendrogram_sequential(edges, s).reachability()
+    o2, b2 = dendrogram_topdown(edges, s).reachability()
+    assert np.array_equal(o1, o2)
+    assert np.array_equal(b1, b2)

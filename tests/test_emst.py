@@ -6,6 +6,7 @@ import pytest
 
 from repro import synth_data as sd
 from repro.core.emst import emst_delaunay, emst_gfk, emst_memogfk, emst_naive
+from repro.core.hdbscan import hdbscan_mst
 from repro.graph.boruvka import emst_boruvka
 from repro.graph.prim import mst_bruteforce
 
@@ -109,3 +110,22 @@ def test_emst_with_duplicates():
 def test_delaunay_rejects_non_2d():
     with pytest.raises(ValueError):
         emst_delaunay(np.zeros((10, 3)))
+
+
+NON_FINITE_METHODS = {
+    **METHODS,
+    "delaunay": lambda pts: emst_delaunay(pts)[0],
+    "hdbscan_memogfk": lambda pts: hdbscan_mst(pts, 5, method="memogfk")[0],
+    "hdbscan_gantao": lambda pts: hdbscan_mst(pts, 5, method="gantao")[0],
+}
+
+
+@pytest.mark.parametrize("method", list(NON_FINITE_METHODS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_raises(method, bad):
+    """A NaN or inf coordinate is rejected with ValueError, never turned
+    into a short, infinite-weight or crashing "MST"."""
+    pts = sd.uniform_fill(50, 2, seed=8)
+    pts[17, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_METHODS[method](pts)

@@ -138,3 +138,84 @@ def test_build_invariants_hypothesis(n, d, seed):
     assert t.n_nodes == 2 * n - 1
     leaves = t.left < 0
     assert leaves.sum() == n
+
+
+def _skewed(n):
+    """1-D points 1, 1/2, 1/4, ...: every midpoint split peels off
+    one or two points, so the tree is about n levels deep."""
+    return (2.0 ** -np.arange(n))[:, None]
+
+
+def _piled(n, seed):
+    """Most points exactly on the root's midpoint cut."""
+    pts = np.full((n, 2), 0.5)
+    pts[: n // 4] = np.random.default_rng(seed).random((n // 4, 2))
+    pts[0], pts[1] = 0.0, 1.0
+    return pts
+
+
+def _adjacent_floats(n):
+    """Two adjacent doubles: the midpoint rounds onto the lower one, so
+    no key is below the cut and the object-median fallback applies."""
+    x = np.array([1.0, np.nextafter(1.0, 2.0)])
+    return x[np.arange(n) % 2][:, None]
+
+
+SPLIT_CASES = {
+    "identical": lambda: np.zeros((64, 3)),
+    "piled_on_midpoint": lambda: _piled(200, 1),
+    "adjacent_floats": lambda: _adjacent_floats(33),
+    "one_dim": lambda: _pts(300, 1, seed=3),
+    "skewed_deep": lambda: _skewed(1000),
+    "uniform_3d": lambda: _pts(500, 3, seed=5),
+}
+
+
+@pytest.mark.parametrize("leaf_size", [1, 4])
+@pytest.mark.parametrize("case", list(SPLIT_CASES))
+def test_build_keeps_split_rule(case, leaf_size):
+    """Every internal node cuts its widest box dimension at the
+    midpoint: left keys below the cut, right keys at or above it. When
+    that leaves a side empty (or all points are identical) it splits at
+    the object median instead. Children partition their parent, leaves
+    hold at most ``leaf_size`` points, and node ids are breadth-first."""
+    pts = SPLIT_CASES[case]()
+    t = kdt.build(pts, leaf_size=leaf_size)
+    assert np.array_equal(t.pts, pts[t.perm])
+    size = t.hi - t.lo
+    internal = np.flatnonzero(t.left >= 0)
+    assert np.all(size[t.left < 0] <= leaf_size) and np.all(size[internal] > leaf_size)
+    l, r = t.left[internal], t.right[internal]
+    assert np.array_equal(t.lo[internal], t.lo[l])
+    assert np.array_equal(t.hi[l], t.lo[r])
+    assert np.array_equal(t.hi[internal], t.hi[r])
+    # Breadth-first ids: siblings adjacent, children after their parent,
+    # depth non-decreasing in id order.
+    assert np.array_equal(r, l + 1) and np.all(l > internal)
+    depth = np.zeros(t.n_nodes, dtype=np.int64)
+    for v in internal:
+        depth[t.left[v]] = depth[t.right[v]] = depth[v] + 1
+    assert np.all(np.diff(depth) >= 0)
+    if case == "skewed_deep":
+        assert depth.max() >= 500
+    fallbacks = 0
+    for v, a, b in zip(internal, l, r):
+        width = t.bb_max[v] - t.bb_min[v]
+        dim = int(np.argmax(width))
+        seg = t.pts[t.lo[v] : t.hi[v]]
+        assert np.array_equal(t.bb_min[v], seg.min(axis=0))
+        assert np.array_equal(t.bb_max[v], seg.max(axis=0))
+        keys = seg[:, dim]
+        left_keys = t.pts[t.lo[a] : t.hi[a], dim]
+        right_keys = t.pts[t.lo[b] : t.hi[b], dim]
+        cut = 0.5 * (t.bb_min[v, dim] + t.bb_max[v, dim])
+        n_below = int((keys < cut).sum())
+        if width[dim] > 0 and 0 < n_below < keys.size:
+            assert left_keys.size == n_below
+            assert np.all(left_keys < cut) and np.all(right_keys >= cut)
+        else:
+            fallbacks += 1
+            assert left_keys.size == keys.size // 2
+            assert left_keys.max() <= right_keys.min()
+    if case in ("identical", "adjacent_floats"):
+        assert fallbacks == internal.size
