@@ -147,20 +147,3 @@ def bccp_star(tree: KDTree, a: int, b: int) -> tuple[int, int, float]:
     assert tree.cd is not None
     u, v, w = bccp_pairs(tree, [a], [b], tree.cd)
     return int(u[0]), int(v[0]), float(w[0])
-
-
-def star_lower_bound(tree: KDTree, a: int, b: int) -> float:
-    """Lower bound on BCCP*(A, B): max{d(A,B), cd_min(A), cd_min(B)}."""
-    assert tree.cd_min is not None
-    return max(
-        tree.node_dist(a, b), float(tree.cd_min[a]), float(tree.cd_min[b])
-    )
-
-
-def star_upper_bound(tree: KDTree, a: int, b: int) -> float:
-    """Upper bound on BCCP*(A, B): max{d_max(A,B), cd_max(A), cd_max(B)}
-    (every cross pair's d_m is at most this, so the minimum is too)."""
-    assert tree.cd_max is not None
-    return max(
-        tree.node_dist_max(a, b), float(tree.cd_max[a]), float(tree.cd_max[b])
-    )

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from pyspark.sql import SparkSession
@@ -40,16 +41,9 @@ _SEQ_CUTOFF = 256
 _HEAVY_FRAC = 0.1  # the paper's n/10 heavy edges
 
 
-def leaf_ref(v: int) -> int:
+def leaf_ref(v):
+    """Child ref of leaf vertex v (an int or an int array)."""
     return -(v + 1)
-
-
-def is_leaf(ref: int) -> bool:
-    return ref < 0
-
-
-def leaf_vertex(ref: int) -> int:
-    return -ref - 1
 
 
 @dataclass
@@ -74,10 +68,10 @@ class Dendrogram:
         stack: list[int] = []
         cur = self.root
         while True:
-            while not is_leaf(cur):
+            while cur >= 0:  # internal node
                 stack.append(cur)
                 cur = int(self.left[cur])
-            order[k] = leaf_vertex(cur)
+            order[k] = -cur - 1  # the leaf's vertex
             bars[k] = last_internal
             k += 1
             if not stack:
@@ -220,8 +214,20 @@ def _split_subproblems(
     return he, lights, comp_of_vertex
 
 
-def _solve(edges: np.ndarray, refs: np.ndarray, builder: _Builder) -> int:
-    """Recursive top-down solve; returns the root ref."""
+def _solve_lights(lights, refs: np.ndarray, builder: _Builder) -> list[int]:
+    """Root refs of the light subproblems, each solved on the driver."""
+    return [_solve(sub_local, refs[members], builder) for sub_local, members in lights]
+
+
+def _solve(
+    edges: np.ndarray, refs: np.ndarray, builder: _Builder, solve_lights=_solve_lights
+) -> int:
+    """Recursive top-down solve; returns the root ref.
+
+    ``solve_lights(lights, refs, builder)`` solves this level's light
+    subproblems into ``builder`` and returns their root refs; deeper
+    levels always solve theirs on the driver.
+    """
     m = edges.shape[0]
     if m == 0:
         return int(refs[0])
@@ -235,9 +241,7 @@ def _solve(edges: np.ndarray, refs: np.ndarray, builder: _Builder) -> int:
     singles = np.flatnonzero(counts[comp_of_vertex] == 1)
     comp_refs[comp_of_vertex[singles]] = refs[singles]
     # Light subproblems first (their roots become heavy leaves).
-    for sub_local, members in lights:
-        sub_refs = refs[members]
-        root = _solve(sub_local, sub_refs, builder)
+    for (_, members), root in zip(lights, solve_lights(lights, refs, builder)):
         comp_refs[comp_of_vertex[members[0]]] = root
     return _solve(he, comp_refs, builder)
 
@@ -251,10 +255,43 @@ def solve_subproblem_kernel(edges: np.ndarray, n_local: int):
     remaps both into the global builder.
     """
     builder = _Builder(n_local)
-    refs = np.array([leaf_ref(i) for i in range(n_local)], dtype=np.int64)
-    root = _solve(edges, refs, builder)
+    root = _solve(edges, leaf_ref(np.arange(n_local)), builder)
     nn = builder.next_id
     return builder.left[:nn], builder.right[:nn], builder.weight[:nn], root
+
+
+def _ship_lights(spark: SparkSession, lights, refs: np.ndarray, builder: _Builder) -> list[int]:
+    """``_solve_lights`` in one Spark fan-out: each light subproblem is
+    solved by ``solve_subproblem_kernel`` in an executor, and its nodes
+    are grafted into ``builder`` in the order the driver would add them."""
+    from ..engine.distribute import run_payloads_spark
+
+    payloads = [pickle.dumps((sub_local, int(members.size))) for sub_local, members in lights]
+    results = run_payloads_spark(spark, payloads, "solve_subproblem_kernel")
+    roots = []
+    for (_, members), (l_left, l_right, l_weight, l_root) in zip(lights, results):
+        base, k = builder.next_id, l_left.shape[0]
+        sub_refs = refs[members]
+
+        def remap(r):
+            # Local leaf -> its member's global ref; local internal node
+            # -> its builder index. (For r >= 0, -r - 1 indexes sub_refs
+            # from the end; np.where discards that value.)
+            return np.where(r < 0, sub_refs[-r - 1], r + base)
+
+        builder.left[base : base + k] = remap(l_left)
+        builder.right[base : base + k] = remap(l_right)
+        builder.weight[base : base + k] = l_weight
+        builder.next_id += k
+        roots.append(int(remap(l_root)))
+    return roots
+
+
+def _with_vertex_distances(edges: np.ndarray, s: int) -> np.ndarray:
+    """(n-1, 5) [u, v, w, vdist_u, vdist_v] rows of a spanning tree's
+    (n-1, 3) edges: the subproblem format of ``_bottom_up``."""
+    vd = vertex_distances(edges.shape[0] + 1, edges, s)
+    return np.column_stack([edges[:, :3], vd[edges[:, :2].astype(np.int64)]])
 
 
 def dendrogram_sequential(
@@ -263,13 +300,8 @@ def dendrogram_sequential(
     """Bottom-up ordered dendrogram over a spanning tree's (n-1, 3)
     [u, v, w] edges — the sequential baseline of Section 4."""
     n = edges.shape[0] + 1
-    vd = vertex_distances(n, edges, s)
-    e5 = np.column_stack(
-        [edges[:, 0], edges[:, 1], edges[:, 2], vd[edges[:, 0].astype(np.int64)], vd[edges[:, 1].astype(np.int64)]]
-    )
     builder = _Builder(n)
-    refs = np.array([leaf_ref(i) for i in range(n)], dtype=np.int64)
-    root = _bottom_up(e5, refs, builder)
+    root = _bottom_up(_with_vertex_distances(edges, s), leaf_ref(np.arange(n)), builder)
     return Dendrogram(n, builder.left, builder.right, builder.weight, root)
 
 
@@ -284,46 +316,16 @@ def dendrogram_topdown(
     the heavy-edge dendrogram computed on the driver.
     """
     n = edges.shape[0] + 1
-    if n == 1:
-        return Dendrogram(1, *(np.empty(0),) * 3, leaf_ref(0))
-    vd = vertex_distances(n, edges, s)
-    e5 = np.column_stack(
-        [edges[:, 0], edges[:, 1], edges[:, 2], vd[edges[:, 0].astype(np.int64)], vd[edges[:, 1].astype(np.int64)]]
-    )
-    builder = _Builder(n)
-    refs = np.array([leaf_ref(i) for i in range(n)], dtype=np.int64)
+    solve_lights = _solve_lights
     if spark is not None:
-        from ..engine.distribute import fans_out, run_payloads_spark
-    m = n - 1
-    if spark is None or not fans_out(spark, m - _n_heavy(m), "dendrogram"):
-        root = _solve(e5, refs, builder)
-        return Dendrogram(n, builder.left, builder.right, builder.weight, root)
+        from ..engine.distribute import fans_out
 
-    # Spark path: one level of subproblem finding on the driver, light
-    # subproblems in executors, heavy subproblem recursively on driver.
-    he, lights, comp_of_vertex = _split_subproblems(e5)
-    n_comp = int(comp_of_vertex.max()) + 1
-    comp_refs = np.empty(n_comp, dtype=np.int64)
-    counts = np.bincount(comp_of_vertex, minlength=n_comp)
-    singles = np.flatnonzero(counts[comp_of_vertex] == 1)
-    comp_refs[comp_of_vertex[singles]] = refs[singles]
-
-    payloads = [
-        pickle.dumps((sub_local, int(members.size)))
-        for sub_local, members in lights
-    ]
-    results = run_payloads_spark(spark, payloads, "solve_subproblem_kernel")
-    for (_, members), (l_left, l_right, l_weight, l_root) in zip(lights, results):
-        base = builder.next_id
-        # Remap local refs: leaves -> global refs of members; internal
-        # -> builder index + base.
-        def remap(r: int) -> int:
-            return int(refs[members[leaf_vertex(r)]]) if is_leaf(r) else int(r) + base
-
-        for i in range(l_left.shape[0]):
-            builder.add(remap(int(l_left[i])), remap(int(l_right[i])), float(l_weight[i]))
-        comp_refs[comp_of_vertex[members[0]]] = remap(int(l_root))
-    root = _solve(he, comp_refs, builder)
+        if fans_out(spark, n - 1 - _n_heavy(n - 1), "dendrogram"):
+            solve_lights = partial(_ship_lights, spark)
+    builder = _Builder(n)
+    root = _solve(
+        _with_vertex_distances(edges, s), leaf_ref(np.arange(n)), builder, solve_lights
+    )
     return Dendrogram(n, builder.left, builder.right, builder.weight, root)
 
 

@@ -45,7 +45,7 @@ def emst_naive(
         edges[:, 1].astype(np.int64),
         edges[:, 2],
     )
-    return mst, stats
+    return kruskal.assert_spanning(tree.n, mst), stats
 
 
 def emst_gfk(
@@ -90,4 +90,4 @@ def emst_delaunay(
     diff = pts[de[:, 0]] - pts[de[:, 1]]
     ws = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     mst = kruskal.mst(pts.shape[0], de[:, 0], de[:, 1], ws)
-    return mst, stats
+    return kruskal.assert_spanning(pts.shape[0], mst), stats

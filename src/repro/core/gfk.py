@@ -28,7 +28,7 @@ from ..geometry.kdtree import KDTree
 from ..graph.kruskal import kruskal_batch
 from ..graph.unionfind import UnionFind
 from .bccp import bccp_pairs
-from .wspd import pair_node_dist, pair_point_count
+from .wspd import pair_bounds, pair_point_count
 
 
 @dataclass
@@ -40,7 +40,6 @@ class GfkStats:
     pairs_materialized: int = 0       # peak simultaneously-live pairs
     bccp_work_cells: int = 0          # sum |A||B| actually evaluated
     spark_fanouts: int = 0            # BCCP batches shipped to Spark
-    extra: dict = field(default_factory=dict)
 
 
 def mono_labels(tree: KDTree, uf: UnionFind) -> np.ndarray:
@@ -141,14 +140,7 @@ def gfk_mst(
     stats = GfkStats(pairs_materialized=int(pairs.shape[0]))
 
     card = pair_point_count(tree, pairs)
-    ndist = pair_node_dist(tree, pairs)
-    if star:
-        lbs = np.maximum(
-            ndist,
-            np.maximum(tree.cd_min[pairs[:, 0]], tree.cd_min[pairs[:, 1]]),
-        )
-    else:
-        lbs = ndist
+    lbs, _ = pair_bounds(tree, pairs[:, 0], pairs[:, 1], star)
     active = np.arange(pairs.shape[0])
     beta = 2
     while len(out_edges) < n - 1 and active.size > 0:

@@ -12,8 +12,10 @@ The full WSPD is never materialized. Each round:
 
 Both traversals are level-synchronous vectorized versions of the
 FINDPAIR recursion (same visitation DAG, frontier kept in NumPy
-arrays); get_rho's WRITEMIN is applied per level, which can only make
-rho_hi-based pruning *weaker* than the sequential DFS, never wrong.
+arrays). ``get_pairs`` is ``wspd.find_pairs`` with a prune; ``get_rho``
+keeps its own loop because its bound tightens inside it. Its WRITEMIN
+is applied per level, which can only make rho_hi-based pruning
+*weaker* than the sequential DFS, never wrong.
 
 One function serves three paper variants:
 
@@ -33,35 +35,7 @@ from ..geometry.kdtree import KDTree
 from ..graph.kruskal import kruskal_batch
 from ..graph.unionfind import UnionFind
 from .gfk import BccpCache, GfkStats, mono_labels, pair_bccps
-from .wspd import (
-    root_seeds,
-    split_frontier,
-    v_gap,
-    v_gap_max,
-    v_well_separated,
-)
-
-
-def _v_bounds(
-    tree: KDTree, A: np.ndarray, B: np.ndarray, star: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (lower, upper) bounds on BCCP/BCCP* per frontier pair
-    (Figure 3a: the pair's line-segment representation)."""
-    lb = v_gap(tree, A, B)
-    ub = v_gap_max(tree, A, B)
-    if star:
-        lb = np.maximum(lb, np.maximum(tree.cd_min[A], tree.cd_min[B]))
-        ub = np.maximum(ub, np.maximum(tree.cd_max[A], tree.cd_max[B]))
-    return lb, ub
-
-
-def _seeds(tree: KDTree, mono: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """FINDPAIR seeds, skipping internal nodes that are already fully
-    inside one component (the paper's connectivity prune)."""
-    A, B = root_seeds(tree)
-    internal = np.flatnonzero(tree.left >= 0)
-    keep = mono[internal] == -1
-    return A[keep], B[keep]
+from .wspd import find_pairs, pair_bounds, root_seeds, split_frontier, v_well_separated
 
 
 def get_rho(
@@ -75,14 +49,14 @@ def get_rho(
     any not-yet-connected pair with cardinality > beta can produce."""
     sz = (tree.hi - tree.lo).astype(np.int64)
     rho_hi = np.inf
-    A, B = _seeds(tree, mono)
+    A, B = root_seeds(tree)
     while A.size:
         keep = sz[A] + sz[B] > beta  # S_l pairs (and descendants) pruned
         keep &= ~((mono[A] != -1) & (mono[A] == mono[B]))
         A, B = A[keep], B[keep]
         if not A.size:
             break
-        lb, _ = _v_bounds(tree, A, B, star)
+        lb, _ = pair_bounds(tree, A, B, star)
         live = lb < rho_hi
         A, B, lb = A[live], B[live], lb[live]
         if not A.size:
@@ -116,36 +90,22 @@ def get_pairs(
     computed (one batched driver call, or one Spark fan-out) and cached;
     only in-range ones are materialized as edges.
     """
-    candidates: list[np.ndarray] = []
-    A, B = _seeds(tree, mono)
-    while A.size:
-        keep = ~((mono[A] != -1) & (mono[A] == mono[B]))
-        A, B = A[keep], B[keep]
-        if not A.size:
-            break
-        lb, ub = _v_bounds(tree, A, B, star)
-        live = (ub >= rho_lo) & (lb < rho_hi)
-        A, B = A[live], B[live]
-        if not A.size:
-            break
-        ws = v_well_separated(tree, A, B, kind)
-        if np.any(ws):
-            candidates.append(np.stack([A[ws], B[ws]], axis=1))
-        A, B, stuck = split_frontier(tree, A[~ws], B[~ws])
-        if stuck.size:
-            candidates.append(stuck)  # coincident singletons: w = 0 edges
-    if not candidates:
-        return np.empty((0, 3))
-    cand = np.concatenate(candidates, axis=0)
-    stats.pairs_materialized = max(stats.pairs_materialized, cand.shape[0])
 
+    def prune(A, B):
+        keep = ~((mono[A] != -1) & (mono[A] == mono[B]))
+        lb, ub = pair_bounds(tree, A[keep], B[keep], star)
+        keep[keep] = (ub >= rho_lo) & (lb < rho_hi)
+        return keep
+
+    cand = find_pairs(tree, *root_seeds(tree), kind, prune)
+    stats.pairs_materialized = max(stats.pairs_materialized, cand.shape[0])
     edges = pair_bccps(tree, cand[:, 0], cand[:, 1], cache, star, stats, spark_ctx)
     # Select on w clipped to the pair's own [lb, ub], the values the
     # traversal prunes with. lb <= BCCP <= ub exactly, but a computed w
     # can fall an ulp outside (for two single-point nodes lb = ub = their
     # distance, computed another way); such a pair would be pruned while
     # lb >= rho_hi and then fail w >= rho_lo in the next round.
-    lb, ub = _v_bounds(tree, cand[:, 0], cand[:, 1], star)
+    lb, ub = pair_bounds(tree, cand[:, 0], cand[:, 1], star)
     key = np.clip(edges[:, 2], lb, ub)
     return edges[(key >= rho_lo) & (key < rho_hi)]
 

@@ -84,5 +84,5 @@ def optics_approx_mst(
     d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     ws = np.maximum(d / (1.0 + rho), np.maximum(cd[us], cd[vs]))
     stats.bccp_work_cells = int(us.size)
-    edges = kruskal.mst(n, us, vs, ws)
+    edges = kruskal.assert_spanning(n, kruskal.mst(n, us, vs, ws))
     return edges, cd, stats

@@ -1,8 +1,10 @@
 """Well-separated pair decomposition (Algorithm 1), vectorized.
 
-The paper's FINDPAIR recursion is realized level-synchronously: the
-frontier of node pairs lives in NumPy arrays and each level applies the
-separation predicate / swap / split to the whole frontier at once. This
+The paper's FINDPAIR recursion is realized level-synchronously, once,
+in ``find_pairs``: the frontier of node pairs lives in NumPy arrays and
+each level applies the separation predicate / swap / split to the whole
+frontier at once. ``wspd`` runs it unpruned; MemoGFK's GetPairs runs it
+with its bounds and connectivity prunes (``pair_bounds``). This
 is the same computation DAG as Algorithm 1 (each pair is visited once),
 just batched — which is what makes the driver-side traversals cheap
 enough that the BCCP kernels remain the dominant (and Spark-distributed)
@@ -92,6 +94,38 @@ def split_frontier(
     return nA, nB, stuck
 
 
+def find_pairs(
+    tree: KDTree,
+    A: np.ndarray,
+    B: np.ndarray,
+    kind: str | float,
+    prune=None,
+    max_pairs: int | None = None,
+) -> np.ndarray:
+    """FINDPAIR from the seed pairs (A[k], B[k]): the well-separated
+    pairs (and stuck coincident singleton pairs) the recursion reaches,
+    as an (k, 2) int64 array of node ids, level by level.
+
+    ``prune(A, B)``, when given, returns a mask of the frontier pairs
+    to keep; a dropped pair's whole subtree of pairs is skipped (the
+    bounds and connectivity prunes of MemoGFK's GetPairs).
+    """
+    out = [np.empty((0, 2), dtype=np.int64)]
+    total = 0
+    while A.size:
+        if prune is not None:
+            keep = prune(A, B)
+            A, B = A[keep], B[keep]
+        ws = v_well_separated(tree, A, B, kind)
+        rec = np.stack([A[ws], B[ws]], axis=1)
+        A, B, stuck = split_frontier(tree, A[~ws], B[~ws])
+        out += [rec, stuck]
+        total += rec.shape[0] + stuck.shape[0]
+        if max_pairs is not None and total > max_pairs:
+            raise PairBudgetExceeded(f"WSPD exceeded the {max_pairs}-pair budget")
+    return np.concatenate(out, axis=0)
+
+
 def wspd(
     tree: KDTree,
     kind: str | float = "s2",
@@ -102,25 +136,7 @@ def wspd(
     Used by EMST-Naive and EMST-GFK (Algorithm 2 takes S as input);
     MemoGFK never calls this.
     """
-    A, B = root_seeds(tree)
-    out: list[np.ndarray] = []
-    total = 0
-    while A.size:
-        ws = v_well_separated(tree, A, B, kind)
-        if np.any(ws):
-            rec = np.stack([A[ws], B[ws]], axis=1)
-            out.append(rec)
-            total += rec.shape[0]
-        A2, B2 = A[~ws], B[~ws]
-        A, B, stuck = split_frontier(tree, A2, B2)
-        if stuck.size:
-            out.append(stuck)
-            total += stuck.shape[0]
-        if max_pairs is not None and total > max_pairs:
-            raise PairBudgetExceeded(f"WSPD exceeded the {max_pairs}-pair budget")
-    if not out:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(out, axis=0)
+    return find_pairs(tree, *root_seeds(tree), kind, max_pairs=max_pairs)
 
 
 def pair_point_count(tree: KDTree, pairs: np.ndarray) -> np.ndarray:
@@ -129,17 +145,19 @@ def pair_point_count(tree: KDTree, pairs: np.ndarray) -> np.ndarray:
     return sz[pairs[:, 0]] + sz[pairs[:, 1]]
 
 
-def pair_node_dist(tree: KDTree, pairs: np.ndarray) -> np.ndarray:
-    """Vectorized d(A, B) for an (k, 2) pair array."""
-    return v_gap(tree, pairs[:, 0], pairs[:, 1])
+def pair_bounds(
+    tree: KDTree, A: np.ndarray, B: np.ndarray, star: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) bounds on the BCCP (BCCP* if ``star``) of every
+    pair (A[k], B[k]): Figure 3a's line-segment representation.
 
-
-def separation_predicate(tree: KDTree, kind: str | float):
-    """Scalar separation test (used by tests; the algorithms use the
-    vectorized form)."""
-    if kind == "hdbscan":
-        if tree.cd_min is None:
-            raise ValueError("hdbscan separation needs attach_core_distances()")
-        return lambda a, b: tree.geo_separated(a, b) or tree.mutually_unreachable(a, b)
-    s = 2.0 if kind == "s2" else float(kind)
-    return lambda a, b: tree.well_separated(a, b, s)
+    lower = d(A, B), upper = d_max(A, B); under mutual reachability
+    they are raised to max{., cd_min(A), cd_min(B)} and
+    max{., cd_max(A), cd_max(B)}.
+    """
+    lb = v_gap(tree, A, B)
+    ub = v_gap_max(tree, A, B)
+    if star:
+        lb = np.maximum(lb, np.maximum(tree.cd_min[A], tree.cd_min[B]))
+        ub = np.maximum(ub, np.maximum(tree.cd_max[A], tree.cd_max[B]))
+    return lb, ub

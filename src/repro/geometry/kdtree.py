@@ -71,59 +71,6 @@ class KDTree:
     def n_nodes(self) -> int:
         return self.left.shape[0]
 
-    def size(self, node: int) -> int:
-        """Number of points owned by ``node``."""
-        return int(self.hi[node] - self.lo[node])
-
-    def diam(self, node: int) -> float:
-        """Diameter of the node's bounding sphere (paper's A_diam)."""
-        return 2.0 * float(self.radius[node])
-
-    def node_dist(self, a: int, b: int) -> float:
-        """Paper's d(A, B): min distance between the bounding spheres.
-
-        A valid lower bound on every cross distance (hence on BCCP).
-        """
-        c = float(np.linalg.norm(self.center[a] - self.center[b]))
-        return max(0.0, c - float(self.radius[a]) - float(self.radius[b]))
-
-    def node_dist_max(self, a: int, b: int) -> float:
-        """Paper's d_max(A, B): max distance between the bounding
-        spheres — an upper bound on every cross distance (hence on BCCP)."""
-        c = float(np.linalg.norm(self.center[a] - self.center[b]))
-        return c + float(self.radius[a]) + float(self.radius[b])
-
-    def well_separated(self, a: int, b: int, s: float = 2.0) -> bool:
-        """Callahan–Kosaraju well-separation with separation constant s.
-
-        Both nodes are enclosed in spheres of radius r = max(r_a, r_b);
-        well-separated iff the gap between those spheres is >= s * r.
-        """
-        r = max(float(self.radius[a]), float(self.radius[b]))
-        c = float(np.linalg.norm(self.center[a] - self.center[b]))
-        return c - 2.0 * r >= s * r
-
-    def geo_separated(self, a: int, b: int) -> bool:
-        """HDBSCAN* paper's geometric separation:
-        d(A, B) >= max(A_diam, B_diam)."""
-        return self.node_dist(a, b) >= max(self.diam(a), self.diam(b))
-
-    def mutually_unreachable(self, a: int, b: int) -> bool:
-        """HDBSCAN* paper's mutual-unreachability (needs core distances):
-
-        max{d(A,B), cd_min(A), cd_min(B)}
-            >= max{A_diam, B_diam, cd_max(A), cd_max(B)}.
-        """
-        assert self.cd_min is not None and self.cd_max is not None
-        lhs = max(self.node_dist(a, b), float(self.cd_min[a]), float(self.cd_min[b]))
-        rhs = max(
-            self.diam(a),
-            self.diam(b),
-            float(self.cd_max[a]),
-            float(self.cd_max[b]),
-        )
-        return lhs >= rhs
-
     def points_of(self, node: int) -> np.ndarray:
         """Original ids of the points owned by ``node``."""
         return self.perm[self.lo[node] : self.hi[node]]

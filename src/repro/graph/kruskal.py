@@ -40,3 +40,15 @@ def mst(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> np.ndarray:
     out: list[tuple[int, int, float]] = []
     kruskal_batch(np.asarray(us), np.asarray(vs), np.asarray(ws), uf, out)
     return np.asarray(out, dtype=np.float64).reshape(-1, 3)
+
+
+def assert_spanning(n: int, edges: np.ndarray) -> np.ndarray:
+    """``edges`` if they are the n - 1 edges of a spanning tree on n
+    points (``mst`` returns a forest when its edges do not connect the
+    points); otherwise ValueError."""
+    if edges.shape[0] != n - 1:
+        raise ValueError(
+            f"not a spanning tree: {edges.shape[0]} edges for n = {n} points "
+            f"(a spanning tree has {n - 1})"
+        )
+    return edges

@@ -2,8 +2,9 @@
 
 Two roles:
 
-* ``mst_bruteforce`` / ``mst_bruteforce_mutual``: O(n^2) Prim over the
-  complete (mutual-reachability) graph. The MST edge-weight multiset of
+* ``mst_bruteforce_mutual`` (and ``mst_bruteforce``, the same with
+  zero core distances): O(n^2) Prim over the complete
+  (mutual-reachability) graph. The MST edge-weight multiset of
   a graph is unique even when the MST itself is not, so tests compare
   sorted weight arrays against the paper algorithms' outputs.
 * ``reachability_plot``: Prim restricted to a tree's edges starting at
@@ -16,26 +17,6 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
-
-
-def mst_bruteforce(points: np.ndarray) -> np.ndarray:
-    """Exact EMST by dense Prim; returns (n-1, 3) [u, v, w] rows."""
-    n = points.shape[0]
-    in_tree = np.zeros(n, dtype=bool)
-    best = np.full(n, np.inf)
-    best_from = np.full(n, -1, dtype=np.int64)
-    best[0] = 0.0
-    edges = []
-    for _ in range(n):
-        u = int(np.argmin(np.where(in_tree, np.inf, best)))
-        in_tree[u] = True
-        if best_from[u] >= 0:
-            edges.append((int(best_from[u]), u, float(best[u])))
-        d = np.linalg.norm(points - points[u], axis=1)
-        upd = (~in_tree) & (d < best)
-        best[upd] = d[upd]
-        best_from[upd] = u
-    return np.asarray(edges, dtype=np.float64).reshape(-1, 3)
 
 
 def mst_bruteforce_mutual(points: np.ndarray, core_dist: np.ndarray) -> np.ndarray:
@@ -59,6 +40,12 @@ def mst_bruteforce_mutual(points: np.ndarray, core_dist: np.ndarray) -> np.ndarr
         best[upd] = dm[upd]
         best_from[upd] = u
     return np.asarray(edges, dtype=np.float64).reshape(-1, 3)
+
+
+def mst_bruteforce(points: np.ndarray) -> np.ndarray:
+    """Exact EMST by dense Prim: the mutual reachability MST with zero
+    core distances (max{0, 0, d} = d)."""
+    return mst_bruteforce_mutual(points, np.zeros(points.shape[0]))
 
 
 def is_valid_prim_order(

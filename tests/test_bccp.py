@@ -5,14 +5,8 @@ import numpy as np
 import pytest
 
 from repro.core import bccp as bccp_mod
-from repro.core.bccp import (
-    bccp,
-    bccp_kernel,
-    bccp_pairs,
-    bccp_star,
-    star_lower_bound,
-    star_upper_bound,
-)
+from repro.core.bccp import bccp, bccp_kernel, bccp_pairs, bccp_star
+from repro.core.wspd import pair_bounds
 from repro.geometry import kdtree as kdt
 
 
@@ -94,8 +88,9 @@ def test_star_bounds_bracket_bccp_star():
         a, b = rng.integers(0, t.n_nodes, 2)
         a, b = int(a), int(b)
         _, _, w = bccp_star(t, a, b)
-        assert star_lower_bound(t, a, b) <= w + 1e-9
-        assert star_upper_bound(t, a, b) >= w - 1e-9
+        (lb,), (ub,) = pair_bounds(t, [a], [b], star=True)
+        assert lb <= w + 1e-9
+        assert ub >= w - 1e-9
 
 
 def _dense(t, a, b, cd):

@@ -107,6 +107,31 @@ def test_emst_with_duplicates():
         assert np.allclose(np.sort(edges[:, 2]), ref), name
 
 
+def _degenerate_2d(case, n=200):
+    rng = np.random.default_rng(11)
+    if case == "duplicates":
+        base = rng.random((n // 2, 2)) * 10
+        return np.vstack([base, base])
+    x = np.linspace(0.0, 10.0, n)
+    y = 2.0 * x + (1e-12 * rng.random(n) if case == "near_collinear" else 0.0)
+    return np.column_stack([x, y])
+
+
+@pytest.mark.parametrize("case", ["duplicates", "collinear", "near_collinear"])
+def test_delaunay_degenerate_spans_or_raises(case):
+    """On degenerate 2D input EMST-Delaunay returns the true EMST (n - 1
+    edges, the Prim oracle's weight) or raises ValueError; a silently
+    short forest is neither."""
+    pts = _degenerate_2d(case)
+    try:
+        edges, _ = emst_delaunay(pts)
+    except ValueError as exc:
+        assert "spanning tree" in str(exc)
+        return
+    assert edges.shape == (pts.shape[0] - 1, 3)
+    assert np.isclose(edges[:, 2].sum(), mst_bruteforce(pts)[:, 2].sum())
+
+
 def test_delaunay_rejects_non_2d():
     with pytest.raises(ValueError):
         emst_delaunay(np.zeros((10, 3)))

@@ -97,7 +97,7 @@ def test_get_rho_star_uses_core_distance_floor():
     rho = get_rho(t, 2, mono, "s2", star=True)
     for a, b in wspd(t, "s2"):
         a, b = int(a), int(b)
-        if t.size(a) + t.size(b) <= 2:
+        if (t.hi[a] - t.lo[a]) + (t.hi[b] - t.lo[b]) <= 2:
             continue
         assert bccp_star(t, a, b)[2] >= rho - 1e-9
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.wspd import v_gap, v_gap_max, v_well_separated
 from repro.geometry import kdtree as kdt
 from repro.geometry.knn import core_distances
 
@@ -83,8 +84,8 @@ def test_node_dist_bounds_cross_distances(d):
         A = t.pts[t.lo[a] : t.hi[a]]
         B = t.pts[t.lo[b] : t.hi[b]]
         dmat = np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2)
-        assert t.node_dist(a, b) <= dmat.min() + 1e-9
-        assert t.node_dist_max(a, b) >= dmat.max() - 1e-9
+        assert v_gap(t, [a], [b])[0] <= dmat.min() + 1e-9
+        assert v_gap_max(t, [a], [b])[0] >= dmat.max() - 1e-9
 
 
 def test_duplicate_points_build():
@@ -121,8 +122,8 @@ def test_well_separated_scalar_definition():
     root_l, root_r = int(t.left[0]), int(t.right[0])
     # Clusters {0,1} and {10,11}: radius 0.5 each, center gap 10
     # => gap - 2*rmax = 9 >= 2 * 0.5: well separated at s=2.
-    assert t.well_separated(root_l, root_r, 2.0)
-    assert not t.well_separated(root_l, root_r, 25.0)
+    assert v_well_separated(t, [root_l], [root_r], 2.0)[0]
+    assert not v_well_separated(t, [root_l], [root_r], 25.0)[0]
 
 
 @settings(max_examples=25, deadline=None)

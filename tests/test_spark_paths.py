@@ -126,6 +126,12 @@ def test_dendrogram_spark_equals_driver(spark, always_fan_out):
     assert np.allclose(np.sort(b1[1:]), np.sort(b2[1:]))
     # EMST weights are generically distinct -> orders must agree exactly.
     assert np.array_equal(o1, o2)
+    # Shipping the light subproblems changes where they are solved, not
+    # the dendrogram: every node array equals the driver-only solve's.
+    d_drv = dendrogram_topdown(edges, 0)
+    assert d_par.root == d_drv.root
+    for name in ("left", "right", "weight"):
+        assert np.array_equal(getattr(d_par, name), getattr(d_drv, name))
 
 
 def test_spark_bccp_small_batch_runs_on_driver(spark, midsize):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.kruskal import kruskal_batch, mst
+from repro.graph.kruskal import assert_spanning, kruskal_batch, mst
 from repro.graph.prim import mst_bruteforce
 from repro.graph.unionfind import UnionFind
 
@@ -87,6 +87,10 @@ def test_kruskal_batched_equals_oneshot():
 def test_kruskal_disconnected_graph():
     got = mst(4, np.array([0, 2]), np.array([1, 3]), np.array([1.0, 2.0]))
     assert got.shape[0] == 2  # spanning forest, not tree
+    with pytest.raises(ValueError, match="2 edges for n = 4"):
+        assert_spanning(4, got)
+    tree = mst(4, np.array([0, 1, 2]), np.array([1, 2, 3]), np.ones(3))
+    assert assert_spanning(4, tree) is tree
 
 
 def _multigraph_batches(seed, n, n_batches):

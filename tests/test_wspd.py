@@ -8,9 +8,8 @@ import pytest
 from repro import synth_data as sd
 from repro.core.wspd import (
     PairBudgetExceeded,
-    pair_node_dist,
     pair_point_count,
-    separation_predicate,
+    v_gap,
     v_well_separated,
     wspd,
 )
@@ -76,15 +75,43 @@ def test_pairs_actually_well_separated(d):
     assert ok.all()
 
 
+def _sphere_gap(tree, a, b):
+    """The paper's d(A, B): the gap between the bounding spheres."""
+    c = float(np.linalg.norm(tree.center[a] - tree.center[b]))
+    return max(0.0, c - float(tree.radius[a]) - float(tree.radius[b]))
+
+
+def _ck_separated(tree, a, b, s):
+    """Callahan–Kosaraju: both nodes fit in spheres of radius
+    r = max(r_a, r_b), and the gap between those spheres is >= s * r."""
+    r = max(float(tree.radius[a]), float(tree.radius[b]))
+    c = float(np.linalg.norm(tree.center[a] - tree.center[b]))
+    return c - 2.0 * r >= s * r
+
+
+def _hdbscan_separated(tree, a, b):
+    """Section 3.2.2: geometrically separated, d(A, B) >= max(A_diam,
+    B_diam), or mutually unreachable, max{d(A, B), cd_min(A),
+    cd_min(B)} >= max{A_diam, B_diam, cd_max(A), cd_max(B)}."""
+    gap = _sphere_gap(tree, a, b)
+    diam = 2.0 * max(float(tree.radius[a]), float(tree.radius[b]))
+    lhs = max(gap, float(tree.cd_min[a]), float(tree.cd_min[b]))
+    rhs = max(diam, float(tree.cd_max[a]), float(tree.cd_max[b]))
+    return gap >= diam or lhs >= rhs
+
+
 def test_vectorized_matches_scalar_predicate():
     tree = _tree(150, 3, seed=5)
-    pred = separation_predicate(tree, "s2")
     rng = np.random.default_rng(0)
     A = rng.integers(0, tree.n_nodes, 200)
     B = rng.integers(0, tree.n_nodes, 200)
     vec = v_well_separated(tree, A, B, "s2")
     for a, b, v in zip(A, B, vec):
-        assert pred(int(a), int(b)) == bool(v)
+        assert _ck_separated(tree, int(a), int(b), 2.0) == bool(v)
+    kdt.attach_core_distances(tree, core_distances(tree.pts, 5))
+    vec = v_well_separated(tree, A, B, "hdbscan")
+    for a, b, v in zip(A, B, vec):
+        assert _hdbscan_separated(tree, int(a), int(b)) == bool(v)
 
 
 @pytest.mark.parametrize("min_pts", [5, 10])
@@ -102,7 +129,7 @@ def test_hdbscan_separation_is_superset_and_smaller(min_pts):
     # Geometric separation (s=2 in sphere terms) implies new-definition
     # separation on the same node pair.
     geo = v_well_separated(tree, p_std[:, 0], p_std[:, 1], "hdbscan")
-    gap = pair_node_dist(tree, p_std)
+    gap = v_gap(tree, p_std[:, 0], p_std[:, 1])
     diam = 2.0 * np.maximum(tree.radius[p_std[:, 0]], tree.radius[p_std[:, 1]])
     assert np.all(geo[gap >= diam])
 
@@ -127,11 +154,11 @@ def test_pair_helpers():
     card = pair_point_count(tree, pairs)
     sz = tree.hi - tree.lo
     assert np.array_equal(card, sz[pairs[:, 0]] + sz[pairs[:, 1]])
-    nd = pair_node_dist(tree, pairs)
+    nd = v_gap(tree, pairs[:, 0], pairs[:, 1])
     assert (nd >= 0).all()
     for k in range(0, pairs.shape[0], max(1, pairs.shape[0] // 20)):
         a, b = map(int, pairs[k])
-        assert np.isclose(nd[k], tree.node_dist(a, b))
+        assert np.isclose(nd[k], _sphere_gap(tree, a, b))
 
 
 def test_duplicate_points_recorded_as_pairs():
